@@ -1,11 +1,9 @@
 """kegraph: exact structural parameters and theorem checks for König-Egerváry graphs."""
 
 from .analysis import (
-    DEFAULT_CAPS,
     KeDecomposition,
     ParameterReport,
     S0Trace,
-    SolverCaps,
     Th2Evaluation,
     forest_condition,
     g_zero,
@@ -49,8 +47,10 @@ from .graph import (
     two_coloring,
 )
 from .solvers import (
+    DEFAULT_CAPS,
     MatchingReport,
     PerfectMatchingStatus,
+    SolverCaps,
     StableSetReport,
     enumerate_maximum_matchings,
     enumerate_maximum_stable_sets,
@@ -59,7 +59,6 @@ from .solvers import (
     matching_number,
     matching_report,
     maximum_matching,
-    maximum_matching_bruteforce,
     perfect_matching_status,
     stability_number,
 )

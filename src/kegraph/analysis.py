@@ -9,7 +9,6 @@ criticality of a unique perfect matching edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .criticality import alpha_critical_edges, mu_critical_edges
@@ -29,40 +28,15 @@ from .graph import (
     vertex_set,
 )
 from .solvers import (
-    ALPHA_VERTEX_CAP,
-    OMEGA_SET_CAP,
-    OMEGA_VERTEX_CAP,
+    DEFAULT_CAPS,
+    SolverCaps,
     enumerate_maximum_stable_sets,
     lex_min_maximum_stable_set,
     maximum_matching,
+    memo,
     perfect_matching_status,
     stability_number,
 )
-
-BHP_VERTEX_CAP = 14
-
-
-@dataclass(frozen=True)
-class SolverCaps:
-    """Size limits threaded through analyses; exceeding one raises CapacityError."""
-
-    alpha: int = ALPHA_VERTEX_CAP
-    omega_vertices: int = OMEGA_VERTEX_CAP
-    omega_sets: int = OMEGA_SET_CAP
-    bhp: int = BHP_VERTEX_CAP
-
-    def raised_to(self, max_n: int) -> "SolverCaps":
-        """Caps with every vertex limit at least max_n (set-count cap unchanged)."""
-        return SolverCaps(
-            alpha=max(self.alpha, max_n),
-            omega_vertices=max(self.omega_vertices, max_n),
-            omega_sets=self.omega_sets,
-            bhp=max(self.bhp, max_n),
-        )
-
-
-DEFAULT_CAPS = SolverCaps()
-
 
 @dataclass(frozen=True)
 class KeDecomposition:
@@ -160,10 +134,9 @@ class ParameterReport:
         }
 
 
-@lru_cache(maxsize=1 << 15)
-def is_koenig_egervary(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> bool:
+def is_koenig_egervary(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> bool:
     """True iff alpha(g) + mu(g) = n(g)."""
-    return stability_number(g, max_n) + maximum_matching(g).mu == g.n
+    return stability_number(g, caps) + maximum_matching(g).mu == g.n
 
 
 def ke_decompose(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> KeDecomposition:
@@ -173,9 +146,9 @@ def ke_decompose(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> KeDecomposition:
     output. That every maximum matching lies inside the cut is a theorem for
     KE graphs; it is asserted here, not assumed.
     """
-    if not is_koenig_egervary(g, caps.alpha):
+    if not is_koenig_egervary(g, caps):
         raise PreconditionError("not a König-Egerváry graph")
-    s = lex_min_maximum_stable_set(g, caps.alpha)
+    s = lex_min_maximum_stable_set(g, caps)
     s_set = set(s)
     h = tuple(v for v in range(g.n) if v not in s_set)
     witness = maximum_matching(g).witness
@@ -188,13 +161,13 @@ def ke_decompose(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> KeDecomposition:
     return KeDecomposition(s=s, h_vertices=h, cut_matching=witness)
 
 
-@lru_cache(maxsize=1 << 13)
+@memo
 def g_zero(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Graph, tuple[int, ...]]:
     """The graph minus the closed neighborhood of its core, densely relabeled.
 
     Returns (reduction, kept) where kept[i] is the original id of new vertex i.
     """
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     closed = neighborhood(g, report.core, closed=True)
     return delete_vertices(g, closed)
 
@@ -265,7 +238,7 @@ def s0_procedure(
     trace = S0Trace(s0=result, steps=tuple(steps), target_edge=(min(a1, b1), max(a1, b1)))
     if not is_stable(g0, result):
         raise InternalInvariantError(f"constructed set is not stable: {trace}")
-    if len(result) != stability_number(g0, caps.alpha) or b1 not in s0:
+    if len(result) != stability_number(g0, caps) or b1 not in s0:
         raise InternalInvariantError(f"constructed set is not a maximum stable set: {trace}")
     reduced = delete_edge(g0, trace.target_edge)
     if not is_stable(reduced, result + (a1,)):
@@ -273,7 +246,7 @@ def s0_procedure(
     return trace
 
 
-@lru_cache(maxsize=1 << 13)
+@memo
 def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterReport:
     """Every structural parameter of one graph, with the KE identities verified.
 
@@ -281,9 +254,9 @@ def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterRepo
     if any of the three count sums exceeds its bound; those are theorems, so a
     violation is a solver bug.
     """
-    stable = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    stable = enumerate_maximum_stable_sets(g, caps)
     mu = maximum_matching(g).mu
-    acrit = alpha_critical_edges(g, caps.alpha)
+    acrit = alpha_critical_edges(g, caps)
     mcrit = mu_critical_edges(g)
     reduction, _ = g_zero(g, caps)
     pm0 = perfect_matching_status(reduction)
@@ -320,11 +293,11 @@ def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterRepo
 
 def th2_evaluate(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> Th2Evaluation:
     """Evaluate the five-way equivalence on a KE graph, each clause independently."""
-    if not is_koenig_egervary(g, caps.alpha):
+    if not is_koenig_egervary(g, caps):
         raise PreconditionError("not a König-Egerváry graph")
     report = parameter_report(g, caps)
     reduction, _ = g_zero(g, caps)
-    acrit0 = alpha_critical_edges(reduction, caps.alpha)
+    acrit0 = alpha_critical_edges(reduction, caps)
     return Th2Evaluation(
         g0_unique_pm=report.g0_pm_status == 1,
         g0_critical_maximal=is_maximal_matching(reduction, acrit0),
@@ -338,9 +311,9 @@ def forest_condition(
     g: Graph, caps: SolverCaps = DEFAULT_CAPS
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some maximum stable set has an acyclic cut; first witness in lex order."""
-    if not is_koenig_egervary(g, caps.alpha):
+    if not is_koenig_egervary(g, caps):
         raise PreconditionError("not a König-Egerváry graph")
-    stable = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    stable = enumerate_maximum_stable_sets(g, caps)
     for s in stable.omega:
         members = set(s)
         cut = tuple(e for e in g.edges if (e[0] in members) != (e[1] in members))

@@ -11,12 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    DEFAULT_CAPS,
-    SolverCaps,
-    ke_decompose,
-    parameter_report,
-)
+from .analysis import ke_decompose, parameter_report
 from .criticality import criticality_report
 from .errors import CapacityError, InputError, PreconditionError
 from .graph import Graph, format_edge_list, parse_edge_list
@@ -29,6 +24,7 @@ from .harness import (
     fixtures,
     fuzz,
 )
+from .solvers import DEFAULT_CAPS, SolverCaps
 
 _GEN_KIND = {"tree": "tree", "bipartite": "bipartite", "ke": "ke_synth", "gnp": "gnp"}
 
@@ -106,8 +102,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    caps = _caps(args)
-    report = criticality_report(g, caps.alpha)
+    report = criticality_report(g, _caps(args))
     payload = {
         "alpha_critical_edges": [list(e) for e in report.alpha_critical_edges],
         "eta": report.eta,

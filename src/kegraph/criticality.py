@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import PreconditionError
 from .graph import Edge, Graph, delete_edge, delete_vertices
 from .solvers import (
-    ALPHA_VERTEX_CAP,
+    DEFAULT_CAPS,
+    SolverCaps,
     forced_matching_edges,
-    matching_number,
+    memo,
     stability_number,
 )
 
@@ -26,29 +25,11 @@ class CriticalityReport:
         return len(self.alpha_critical_edges)
 
 
-@lru_cache(maxsize=1 << 14)
-def alpha_critical_edges(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> tuple[Edge, ...]:
-    """Edges whose deletion raises the stability number; per-edge recomputation.
-
-    This definition route is the oracle; `alpha_critical_edges_via_matching`
-    is the faster filtered route for graphs where the two provably agree.
-    """
-    alpha = stability_number(g, max_n)
-    return tuple(e for e in g.edges if stability_number(delete_edge(g, e), max_n) > alpha)
-
-
-def alpha_critical_edges_via_matching(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> tuple[Edge, ...]:
-    """Fast path: alpha-test only the edges that lie in every maximum matching.
-
-    Sound only when alpha(g) + mu(g) = n(g); tests assert it always agrees
-    with the definition route on such inputs.
-    """
-    alpha = stability_number(g, max_n)
-    if alpha + matching_number(g) != g.n:
-        raise PreconditionError("fast path requires a König-Egerváry graph")
-    return tuple(
-        e for e in forced_matching_edges(g) if stability_number(delete_edge(g, e), max_n) > alpha
-    )
+@memo
+def alpha_critical_edges(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Edge, ...]:
+    """Edges whose deletion raises the stability number; per-edge recomputation."""
+    alpha = stability_number(g, caps)
+    return tuple(e for e in g.edges if stability_number(delete_edge(g, e), caps) > alpha)
 
 
 def mu_critical_edges(g: Graph) -> tuple[Edge, ...]:
@@ -56,21 +37,20 @@ def mu_critical_edges(g: Graph) -> tuple[Edge, ...]:
     return forced_matching_edges(g)
 
 
-@lru_cache(maxsize=1 << 14)
-def alpha_critical_vertices(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> tuple[int, ...]:
+def alpha_critical_vertices(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[int, ...]:
     """Vertices whose deletion lowers the stability number (equals the core)."""
-    alpha = stability_number(g, max_n)
+    alpha = stability_number(g, caps)
     out = []
     for v in range(g.n):
         sub, _ = delete_vertices(g, (v,))
-        if stability_number(sub, max_n) < alpha:
+        if stability_number(sub, caps) < alpha:
             out.append(v)
     return tuple(out)
 
 
-def criticality_report(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> CriticalityReport:
+def criticality_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> CriticalityReport:
     return CriticalityReport(
-        alpha_critical_edges=alpha_critical_edges(g, max_n),
+        alpha_critical_edges=alpha_critical_edges(g, caps),
         mu_critical_edges=mu_critical_edges(g),
-        alpha_critical_vertices=alpha_critical_vertices(g, max_n),
+        alpha_critical_vertices=alpha_critical_vertices(g, caps),
     )

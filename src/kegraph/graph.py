@@ -7,6 +7,7 @@ below returns a fresh value and is safe to call concurrently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -184,66 +185,52 @@ def is_stable(g: Graph, s: Iterable[int]) -> bool:
     return all(not (members & set(g.adj[v])) for v in s)
 
 
-def _two_color(g: Graph) -> tuple[list[int], Edge | None]:
-    # BFS coloring; returns (colors, conflicting same-color edge or None).
+def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    # BFS coloring; returns (colors, BFS parents with -1 at each root, and the
+    # first same-color edge as (dequeued vertex, its neighbor) or None).
     color = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in g.adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return color, canonical_edge(u, v)
-    return color, None
+                    return color, parent, (u, v)
+    return color, parent, None
 
 
 def is_bipartite(g: Graph) -> bool:
-    return _two_color(g)[1] is None
+    return _two_color(g)[2] is None
 
 
 def two_coloring(g: Graph) -> tuple[int, ...] | None:
     """A 0/1 coloring with no monochromatic edge, or None if impossible."""
-    colors, conflict = _two_color(g)
+    colors, _, conflict = _two_color(g)
     return None if conflict is not None else tuple(colors)
 
 
 def odd_cycle_witness(g: Graph) -> tuple[int, ...] | None:
     """Vertex sequence of an odd cycle, or None for bipartite g."""
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    # Walk both endpoints to the BFS root, strip the shared prefix.
-                    path_u = [u]
-                    while path_u[-1] != root:
-                        path_u.append(parent[path_u[-1]])
-                    path_v = [v]
-                    while path_v[-1] != root:
-                        path_v.append(parent[path_v[-1]])
-                    while len(path_u) > 1 and len(path_v) > 1 and path_u[-2] == path_v[-2]:
-                        path_u.pop()
-                        path_v.pop()
-                    return tuple(path_u + path_v[-2::-1])
-    return None
+    _, parent, conflict = _two_color(g)
+    if conflict is None:
+        return None
+    # Walk both endpoints to their BFS root, strip the shared prefix.
+    path_u, path_v = [conflict[0]], [conflict[1]]
+    for path in (path_u, path_v):
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+    while len(path_u) > 1 and len(path_v) > 1 and path_u[-2] == path_v[-2]:
+        path_u.pop()
+        path_v.pop()
+    return tuple(path_u + path_v[-2::-1])
 
 
 def spans_forest(g: Graph, w: Iterable[Edge]) -> bool:
@@ -274,9 +261,9 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
             continue
         seen[root] = True
         comp = [root]
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in g.adj[u]:
                 if not seen[v]:
                     seen[v] = True

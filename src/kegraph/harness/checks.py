@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..analysis import (
-    DEFAULT_CAPS,
-    SolverCaps,
     forest_condition,
     g_zero,
     is_koenig_egervary,
@@ -38,9 +36,12 @@ from ..graph import (
     neighborhood,
 )
 from ..solvers import (
+    DEFAULT_CAPS,
+    SolverCaps,
     enumerate_maximum_stable_sets,
     maximum_matching,
     perfect_matching_status,
+    require_vertex_cap,
     stability_number,
 )
 
@@ -116,26 +117,22 @@ def _edge_list(edges) -> list[list[int]]:
 _NOT_KE = "not a König-Egerváry graph"
 
 
-def _ke_gate(g: Graph, caps: SolverCaps) -> bool:
-    return is_koenig_egervary(g, caps.alpha)
-
-
 @_register("T1i", "deleting an alpha-critical edge of a KE graph leaves a KE graph")
 def _t1i(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("T1i", _NOT_KE)
-    for e in alpha_critical_edges(g, caps.alpha):
-        if not is_koenig_egervary(delete_edge(g, e), caps.alpha):
+    for e in alpha_critical_edges(g, caps):
+        if not is_koenig_egervary(delete_edge(g, e), caps):
             return _failed("T1i", g, edge=list(e))
     return _passed("T1i")
 
 
 @_register("T1ii", "alpha-critical edges of a KE graph are mu-critical")
 def _t1ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("T1ii", _NOT_KE)
     mu_crit = set(mu_critical_edges(g))
-    for e in alpha_critical_edges(g, caps.alpha):
+    for e in alpha_critical_edges(g, caps):
         if e not in mu_crit:
             return _failed("T1ii", g, edge=list(e))
     return _passed("T1ii")
@@ -143,9 +140,9 @@ def _t1ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("T1iii", "alpha-critical edges of a KE graph are pairwise non-incident")
 def _t1iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("T1iii", _NOT_KE)
-    crit = alpha_critical_edges(g, caps.alpha)
+    crit = alpha_critical_edges(g, caps)
     seen: dict[int, Edge] = {}
     for e in crit:
         for v in e:
@@ -157,11 +154,11 @@ def _t1iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("CK2", "a connected KE graph has every edge alpha-critical iff it is K2")
 def _ck2(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("CK2", _NOT_KE)
     if g.m == 0 or not is_connected(g):
         return _na("CK2", "needs a connected graph with at least one edge")
-    all_critical = alpha_critical_edges(g, caps.alpha) == g.edges
+    all_critical = alpha_critical_edges(g, caps) == g.edges
     is_k2 = g.n == 2 and g.m == 1
     if all_critical != is_k2:
         return _failed("CK2", g, all_critical=all_critical, is_k2=is_k2)
@@ -190,9 +187,8 @@ def _odd_path_exists(g: Graph, src: int, dst: int, banned: int) -> bool:
 
 @_register("BHP", "two incident alpha-critical edges lie on a common odd cycle")
 def _bhp(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if g.n > caps.bhp:
-        return _na("BHP", f"capacity: odd-cycle search capped at n={caps.bhp}, got n={g.n}")
-    crit = alpha_critical_edges(g, caps.alpha)
+    require_vertex_cap(g, caps.bhp, "odd-cycle search")
+    crit = alpha_critical_edges(g, caps)
     for i, e1 in enumerate(crit):
         for e2 in crit[i + 1 :]:
             shared = set(e1) & set(e2)
@@ -210,7 +206,7 @@ def _bhp(g: Graph, caps: SolverCaps) -> CheckVerdict:
 def _p3(g: Graph, caps: SolverCaps) -> CheckVerdict:
     if not is_bipartite(g):
         return _na("P3", "not bipartite")
-    acrit = alpha_critical_edges(g, caps.alpha)
+    acrit = alpha_critical_edges(g, caps)
     mcrit = mu_critical_edges(g)
     if acrit != mcrit:
         return _failed("P3", g, alpha_critical=_edge_list(acrit), mu_critical=_edge_list(mcrit))
@@ -225,7 +221,7 @@ def _c4(g: Graph, caps: SolverCaps) -> CheckVerdict:
         # K1: no perfect matching, yet the empty critical set is vacuously maximal.
         return _na("C4", "needs a tree with at least one edge")
     has_pm = perfect_matching_status(g).count >= 1
-    crit_maximal = is_maximal_matching(g, alpha_critical_edges(g, caps.alpha))
+    crit_maximal = is_maximal_matching(g, alpha_critical_edges(g, caps))
     if has_pm != crit_maximal:
         return _failed("C4", g, has_pm=has_pm, critical_edges_maximal=crit_maximal)
     return _passed("C4")
@@ -233,7 +229,7 @@ def _c4(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("L1", "with a perfect matching, KE iff alpha = mu; KE implies mu <= alpha")
 def _l1(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    alpha = stability_number(g, caps.alpha)
+    alpha = stability_number(g, caps)
     mu = maximum_matching(g).mu
     ke = alpha + mu == g.n
     has_pm = perfect_matching_status(g).count >= 1
@@ -253,16 +249,16 @@ def _c3(g: Graph, caps: SolverCaps) -> CheckVerdict:
     status = perfect_matching_status(g)
     if status.count == 0:
         return _na("C3", "tree has no perfect matching")
-    crit = set(alpha_critical_edges(g, caps.alpha))
+    crit = set(alpha_critical_edges(g, caps))
     pm = status.witnesses[0]
     missing = [e for e in pm.edges if e not in crit]
-    if missing or 2 * stability_number(g, caps.alpha) != g.n:
+    if missing or 2 * stability_number(g, caps) != g.n:
         return _failed("C3", g, non_critical_matching_edges=_edge_list(missing))
     return _passed("C3")
 
 
 def _meets_each_in_one(g: Graph, caps: SolverCaps, cid: str, edges: tuple[Edge, ...]) -> CheckVerdict:
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     for s in report.omega:
         members = set(s)
         for e in edges:
@@ -273,25 +269,25 @@ def _meets_each_in_one(g: Graph, caps: SolverCaps, cid: str, edges: tuple[Edge, 
 
 @_register("P5i", "every maximum stable set of a KE graph meets each mu-critical edge once")
 def _p5i(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P5i", _NOT_KE)
     return _meets_each_in_one(g, caps, "P5i", mu_critical_edges(g))
 
 
 @_register("P5ii", "every maximum stable set of a KE graph meets each alpha-critical edge once")
 def _p5ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P5ii", _NOT_KE)
-    return _meets_each_in_one(g, caps, "P5ii", alpha_critical_edges(g, caps.alpha))
+    return _meets_each_in_one(g, caps, "P5ii", alpha_critical_edges(g, caps))
 
 
 @_register("P5iii", "a maximal matching of alpha-critical edges is the unique perfect matching")
 def _p5iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P5iii", _NOT_KE)
     if g.m == 0 or not is_connected(g):
         return _na("P5iii", "needs a connected graph with at least one edge")
-    crit = alpha_critical_edges(g, caps.alpha)
+    crit = alpha_critical_edges(g, caps)
     if not is_maximal_matching(g, crit):
         return _passed("P5iii")  # vacuous: hypothesis not met
     status = perfect_matching_status(g)
@@ -302,9 +298,9 @@ def _p5iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("NC", "N(core) equals the anticore on KE graphs, and is contained in it always")
 def _nc(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     nc = neighborhood(g, report.core)
-    if _ke_gate(g, caps):
+    if is_koenig_egervary(g, caps):
         if nc != report.anticore:
             return _failed("NC", g, n_core=list(nc), anticore=list(report.anticore))
     elif not set(nc) <= set(report.anticore):
@@ -314,9 +310,9 @@ def _nc(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("P9i", "in a KE graph the core is at least as large as its neighborhood")
 def _p9i(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P9i", _NOT_KE)
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     nc = neighborhood(g, report.core)
     if len(report.core) < len(nc):
         return _failed("P9i", g, core=list(report.core), n_core=list(nc))
@@ -325,9 +321,9 @@ def _p9i(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("P9ii", "|S - core| = |V - S - N(core)| for every maximum stable set S of a KE graph")
 def _p9ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P9ii", _NOT_KE)
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     nc = set(neighborhood(g, report.core))
     core = set(report.core)
     for s in report.omega:
@@ -340,19 +336,19 @@ def _p9ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("P9iii", "the core reduction of a KE graph has a perfect matching and stays KE")
 def _p9iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P9iii", _NOT_KE)
     reduction, _ = g_zero(g, caps)
     if perfect_matching_status(reduction).count < 1:
         return _failed("P9iii", g, reduction_n=reduction.n, detail="no perfect matching")
-    if not is_koenig_egervary(reduction, caps.alpha):
+    if not is_koenig_egervary(reduction, caps):
         return _failed("P9iii", g, reduction_n=reduction.n, detail="reduction not KE")
     return _passed("P9iii")
 
 
 @_register("C2", "alpha + sigma = mu + xi on KE graphs")
 def _c2(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("C2", _NOT_KE)
     r = parameter_report(g, caps)
     if r.alpha + r.sigma != r.mu + r.xi:
@@ -362,9 +358,9 @@ def _c2(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("L6i", "no alpha-critical edge touches the closed neighborhood of the core")
 def _l6i(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     closed = set(neighborhood(g, report.core, closed=True))
-    for e in alpha_critical_edges(g, caps.alpha):
+    for e in alpha_critical_edges(g, caps):
         if set(e) & closed:
             return _failed("L6i", g, edge=list(e), closed_core=sorted(closed))
     return _passed("L6i")
@@ -372,9 +368,9 @@ def _l6i(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("L6ii", "alpha = alpha(reduction) + xi, and the reduction has an empty core")
 def _l6ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     reduction, _ = g_zero(g, caps)
-    sub = enumerate_maximum_stable_sets(reduction, caps.omega_sets, caps.omega_vertices)
+    sub = enumerate_maximum_stable_sets(reduction, caps)
     if report.alpha != sub.alpha + report.xi or sub.core:
         return _failed(
             "L6ii", g, alpha=report.alpha, reduction_alpha=sub.alpha, xi=report.xi,
@@ -386,10 +382,10 @@ def _l6ii(g: Graph, caps: SolverCaps) -> CheckVerdict:
 @_register("L6iii", "an edge is alpha-critical in the graph iff in its core reduction")
 def _l6iii(g: Graph, caps: SolverCaps) -> CheckVerdict:
     reduction, kept = g_zero(g, caps)
-    crit_g = set(alpha_critical_edges(g, caps.alpha))
+    crit_g = set(alpha_critical_edges(g, caps))
     crit_sub = {
         (min(kept[u], kept[v]), max(kept[u], kept[v]))
-        for u, v in alpha_critical_edges(reduction, caps.alpha)
+        for u, v in alpha_critical_edges(reduction, caps)
     }
     if crit_g != crit_sub:
         return _failed(
@@ -411,7 +407,7 @@ def _p7_inequalities(g: Graph, caps: SolverCaps, cid: str) -> CheckVerdict:
 
 @_register("P7", "xi+eta <= alpha, sigma+eta <= mu, xi+2eta+sigma <= n on KE graphs")
 def _p7(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P7", _NOT_KE)
     return _p7_inequalities(g, caps, "P7")
 
@@ -424,7 +420,7 @@ def _p7_unguarded(g: Graph, caps: SolverCaps) -> CheckVerdict:
 @_register("P3-unguarded", "negative control: alpha-critical implies mu-critical, no gate")
 def _p3_unguarded(g: Graph, caps: SolverCaps) -> CheckVerdict:
     mu_crit = set(mu_critical_edges(g))
-    for e in alpha_critical_edges(g, caps.alpha):
+    for e in alpha_critical_edges(g, caps):
         if e not in mu_crit:
             return _failed("P3-unguarded", g, edge=list(e))
     return _passed("P3-unguarded")
@@ -432,7 +428,7 @@ def _p3_unguarded(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("P10", "the three count equalities hold all together or not at all on KE graphs")
 def _p10(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P10", _NOT_KE)
     r = parameter_report(g, caps)
     truth = (r.eq_alpha, r.eq_mu, r.eq_n)
@@ -443,12 +439,12 @@ def _p10(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("L3", "unique-PM core reductions have alpha-critical = mu-critical edge sets")
 def _l3(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("L3", _NOT_KE)
     reduction, _ = g_zero(g, caps)
     if perfect_matching_status(reduction).count != 1:
         return _na("L3", "core reduction has no unique perfect matching")
-    acrit = alpha_critical_edges(reduction, caps.alpha)
+    acrit = alpha_critical_edges(reduction, caps)
     mcrit = mu_critical_edges(reduction)
     if acrit != mcrit:
         return _failed(
@@ -459,7 +455,7 @@ def _l3(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("T2", "the five-way equivalence is internally consistent on KE graphs")
 def _t2(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("T2", _NOT_KE)
     ev = th2_evaluate(g, caps)
     if not ev.consistent:
@@ -474,7 +470,7 @@ def _c6(g: Graph, caps: SolverCaps) -> CheckVerdict:
     if g.m == 0 or not is_connected(g):
         return _na("C6", "needs a connected graph with at least one edge")
     r = parameter_report(g, caps)
-    crit = alpha_critical_edges(g, caps.alpha)
+    crit = alpha_critical_edges(g, caps)
     flags = (
         perfect_matching_status(g).count == 1,
         is_maximal_matching(g, crit),
@@ -489,7 +485,7 @@ def _c6(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("P4", "an acyclic maximum-stable-set cut forces the three count equalities")
 def _p4(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    if not _ke_gate(g, caps):
+    if not is_koenig_egervary(g, caps):
         return _na("P4", _NOT_KE)
     holds, witness = forest_condition(g, caps)
     if not holds:
@@ -516,12 +512,12 @@ def _c1(g: Graph, caps: SolverCaps) -> CheckVerdict:
 def _c5(g: Graph, caps: SolverCaps) -> CheckVerdict:
     if not is_tree(g):
         return _na("C5", "not a tree")
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
+    report = enumerate_maximum_stable_sets(g, caps)
     in_some = set()
     for s in report.omega:
         in_some.update(s)
     sometimes = in_some - set(report.core)
-    endpoints = {v for e in alpha_critical_edges(g, caps.alpha) for v in e}
+    endpoints = {v for e in alpha_critical_edges(g, caps) for v in e}
     if sometimes != endpoints:
         return _failed(
             "C5", g, sometimes=sorted(sometimes), critical_endpoints=sorted(endpoints)
@@ -531,8 +527,8 @@ def _c5(g: Graph, caps: SolverCaps) -> CheckVerdict:
 
 @_register("H1", "no alpha-critical edge iff every outside vertex has 2 neighbors in each maximum stable set")
 def _h1(g: Graph, caps: SolverCaps) -> CheckVerdict:
-    report = enumerate_maximum_stable_sets(g, caps.omega_sets, caps.omega_vertices)
-    eta_zero = not alpha_critical_edges(g, caps.alpha)
+    report = enumerate_maximum_stable_sets(g, caps)
+    eta_zero = not alpha_critical_edges(g, caps)
     criterion = True
     for s in report.omega:
         members = set(s)

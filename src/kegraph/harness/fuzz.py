@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from ..analysis import DEFAULT_CAPS, SolverCaps
 from ..errors import InputError
 from ..graph import Graph, delete_edge, delete_vertices, format_edge_list
+from ..solvers import DEFAULT_CAPS, SolverCaps
 from .checks import FAIL, NOT_APPLICABLE, PASS, CheckVerdict, check
 from .generators import MIN_N, GeneratorConfig, generate
 

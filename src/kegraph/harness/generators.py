@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from ..analysis import is_koenig_egervary
 from ..errors import InputError, InternalInvariantError
 from ..graph import Edge, Graph, components, from_edge_list
+from ..solvers import DEFAULT_CAPS
 
 KINDS = ("tree", "bipartite", "ke_synth", "gnp", "cycle", "path", "complete")
 
@@ -109,7 +110,7 @@ def _ke_synth(rng: random.Random, n: int, p: float) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     g = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges])
-    if not is_koenig_egervary(g, max_n=max(n, 40)):
+    if not is_koenig_egervary(g, DEFAULT_CAPS.raised_to(n)):
         raise InternalInvariantError("synthesized graph is not König-Egerváry")
     return g
 

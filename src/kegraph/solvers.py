@@ -1,27 +1,65 @@
 """Exact stability and matching solvers at desk scale.
 
-Everything here is a pure deterministic function of its Graph argument, so
-results are memoized per graph. Vertex sets live in int bitsets throughout;
-the configurable caps turn runaway inputs into CapacityError instead of
-letting a search run away silently.
+Everything here is a pure deterministic function of its arguments, so each
+function that does search work is wrapped in `memo`, which gives it one
+bounded cache keyed by (graph, caps). Vertex sets live in int bitsets
+throughout. `SolverCaps` carries every size limit of the exact searches;
+exceeding one raises CapacityError instead of letting a search run away
+silently.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 from .errors import CapacityError, InternalInvariantError
 from .graph import Edge, Graph, Matching, delete_edge
 
-ALPHA_VERTEX_CAP = 40
-OMEGA_VERTEX_CAP = 20
-OMEGA_SET_CAP = 100_000
-BRUTE_FORCE_VERTEX_CAP = 12
-MATCHING_ENUM_CAP = 100_000
-
 _FORCED_EDGE_CROSSCHECK_MAX_N = 10
+
+# The package's one cache mechanism. Calls inside the package pass `caps`
+# positionally, because f(g), f(g, caps) and f(g, caps=caps) are three
+# different keys; `cache_info()` on each wrapped function counts its hits and
+# misses.
+memo = functools.lru_cache(maxsize=1 << 16)
+
+
+@dataclass(frozen=True)
+class SolverCaps:
+    """Every size limit of the exact searches; exceeding one raises CapacityError.
+
+    alpha caps the vertex count of stability-number searches; omega_vertices
+    and omega_sets cap the vertex count and the number of sets of maximum
+    stable set enumeration, which starts from alpha, so alpha must be at
+    least omega_vertices; matchings caps the number of enumerated maximum
+    matchings; bhp caps the vertex count of the BHP check's odd-cycle search.
+    """
+
+    alpha: int = 40
+    omega_vertices: int = 20
+    omega_sets: int = 100_000
+    matchings: int = 100_000
+    bhp: int = 14
+
+    def raised_to(self, max_n: int) -> SolverCaps:
+        """Caps with every vertex limit at least max_n (count caps unchanged)."""
+        return replace(
+            self,
+            alpha=max(self.alpha, max_n),
+            omega_vertices=max(self.omega_vertices, max_n),
+            bhp=max(self.bhp, max_n),
+        )
+
+
+DEFAULT_CAPS = SolverCaps()
+
+
+def require_vertex_cap(g: Graph, limit: int, search: str) -> None:
+    """Refuse a graph with more than `limit` vertices for the named search."""
+    if g.n > limit:
+        raise CapacityError(f"{search} capped at n={limit}, got n={g.n}")
 
 
 @dataclass(frozen=True)
@@ -116,17 +154,16 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
     return best
 
 
-@lru_cache(maxsize=1 << 16)
-def stability_number(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> int:
+@memo
+def stability_number(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> int:
     """Exact stability number alpha(g)."""
-    if g.n > max_n:
-        raise CapacityError(f"stability solver capped at n={max_n}, got n={g.n}")
+    require_vertex_cap(g, caps.alpha, "stability solver")
     return _alpha_of_mask(g.adjacency_masks, (1 << g.n) - 1)
 
 
-def lex_min_maximum_stable_set(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> tuple[int, ...]:
+def lex_min_maximum_stable_set(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The lexicographically smallest maximum stable set (sorted-tuple order)."""
-    need = stability_number(g, max_n)
+    need = stability_number(g, caps)
     masks = g.adjacency_masks
     allowed = (1 << g.n) - 1
     chosen: list[int] = []
@@ -145,19 +182,16 @@ def lex_min_maximum_stable_set(g: Graph, max_n: int = ALPHA_VERTEX_CAP) -> tuple
     return tuple(chosen)
 
 
-@lru_cache(maxsize=1 << 13)
-def enumerate_maximum_stable_sets(
-    g: Graph, cap: int = OMEGA_SET_CAP, max_n: int = OMEGA_VERTEX_CAP
-) -> StableSetReport:
+@memo
+def enumerate_maximum_stable_sets(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> StableSetReport:
     """Complete listing of maximum stable sets, in lexicographic order.
 
     core = their intersection, anticore = vertices in none of them. Raises
-    CapacityError if there are more than `cap` sets: core/anticore must stay
-    exact, so truncation is never an option.
+    CapacityError if there are more than `caps.omega_sets` sets: core/anticore
+    must stay exact, so truncation is never an option.
     """
-    if g.n > max_n:
-        raise CapacityError(f"stable-set enumeration capped at n={max_n}, got n={g.n}")
-    alpha = stability_number(g, max(max_n, ALPHA_VERTEX_CAP))
+    require_vertex_cap(g, caps.omega_vertices, "stable-set enumeration")
+    alpha = stability_number(g, caps)
     masks = g.adjacency_masks
     found: list[tuple[int, ...]] = []
     inter_mask = (1 << g.n) - 1
@@ -166,8 +200,8 @@ def enumerate_maximum_stable_sets(
     def extend(prefix: list[int], prefix_mask: int, allowed: int, need: int) -> None:
         nonlocal inter_mask, union_mask
         if need == 0:
-            if len(found) >= cap:
-                raise CapacityError(f"more than {cap} maximum stable sets")
+            if len(found) >= caps.omega_sets:
+                raise CapacityError(f"more than {caps.omega_sets} maximum stable sets")
             found.append(tuple(prefix))
             inter_mask &= prefix_mask
             union_mask |= prefix_mask
@@ -249,7 +283,7 @@ def _blossom_augment(adj: tuple[tuple[int, ...], ...], match: list[int], start: 
     return False
 
 
-@lru_cache(maxsize=1 << 16)
+@memo
 def maximum_matching(g: Graph) -> MatchingReport:
     """Maximum matching via the blossom algorithm; mu and witness only.
 
@@ -277,37 +311,7 @@ def matching_number(g: Graph) -> int:
     return maximum_matching(g).mu
 
 
-def maximum_matching_bruteforce(g: Graph, max_n: int = BRUTE_FORCE_VERTEX_CAP) -> int:
-    """Matching number by exhaustive search; the independent oracle for blossom."""
-    if g.n > max_n:
-        raise CapacityError(f"matching brute force capped at n={max_n}, got n={g.n}")
-    masks = g.adjacency_masks
-
-    def best(mask: int) -> int:
-        # Lowest remaining vertex with a neighbor either stays unmatched or
-        # pairs with each remaining neighbor in turn.
-        u = -1
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if masks[u] & mask:
-                break
-        else:
-            return 0
-        result = best(mask)
-        nb = masks[u] & mask
-        while nb:
-            v = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            cand = 1 + best(mask & ~(1 << v))
-            if cand > result:
-                result = cand
-        return result
-
-    return best((1 << g.n) - 1)
-
-
-@lru_cache(maxsize=1 << 14)
+@memo
 def perfect_matching_status(g: Graph) -> PerfectMatchingStatus:
     """Count perfect matchings with saturation at 2 plus up to two witnesses.
 
@@ -344,8 +348,8 @@ def perfect_matching_status(g: Graph) -> PerfectMatchingStatus:
     return PerfectMatchingStatus(min(len(found), 2), tuple(Matching(m) for m in found[:2]))
 
 
-def enumerate_maximum_matchings(g: Graph, cap: int = MATCHING_ENUM_CAP) -> tuple[Matching, ...]:
-    """All maximum matchings, in canonical order; CapacityError beyond `cap`."""
+def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Matching, ...]:
+    """All maximum matchings, in canonical order; CapacityError beyond `caps.matchings`."""
     mu = maximum_matching(g).mu
     masks = g.adjacency_masks
     found: list[tuple[Edge, ...]] = []
@@ -362,8 +366,8 @@ def enumerate_maximum_matchings(g: Graph, cap: int = MATCHING_ENUM_CAP) -> tuple
                 break
         else:
             if size == mu:
-                if len(found) >= cap:
-                    raise CapacityError(f"more than {cap} maximum matchings")
+                if len(found) >= caps.matchings:
+                    raise CapacityError(f"more than {caps.matchings} maximum matchings")
                 found.append(tuple(sorted(chosen)))
             return
         search(mask, size)
@@ -379,7 +383,7 @@ def enumerate_maximum_matchings(g: Graph, cap: int = MATCHING_ENUM_CAP) -> tuple
     return tuple(Matching(m) for m in sorted(found))
 
 
-@lru_cache(maxsize=1 << 14)
+@memo
 def forced_matching_edges(g: Graph) -> tuple[Edge, ...]:
     """Edges present in every maximum matching: deleting one lowers mu.
 

@@ -7,9 +7,11 @@ search code with the package solvers.
 
 from __future__ import annotations
 
+from kegraph.errors import CapacityError
 from kegraph.graph import Edge, Graph
 
 _SUBSET_LIMIT = 16
+BRUTE_FORCE_VERTEX_CAP = 12
 
 
 def _masks(g: Graph) -> list[int]:
@@ -86,6 +88,36 @@ def matchings_bf(g: Graph) -> list[tuple[Edge, ...]]:
 
 def mu_bf(g: Graph) -> int:
     return max((len(m) for m in matchings_bf(g)), default=0)
+
+
+def maximum_matching_bruteforce(g: Graph, max_n: int = BRUTE_FORCE_VERTEX_CAP) -> int:
+    """Matching number by exhaustive search; the independent oracle for blossom."""
+    if g.n > max_n:
+        raise CapacityError(f"matching brute force capped at n={max_n}, got n={g.n}")
+    masks = _masks(g)
+
+    def best(mask: int) -> int:
+        # Lowest remaining vertex with a neighbor either stays unmatched or
+        # pairs with each remaining neighbor in turn.
+        u = -1
+        while mask:
+            u = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if masks[u] & mask:
+                break
+        else:
+            return 0
+        result = best(mask)
+        nb = masks[u] & mask
+        while nb:
+            v = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            cand = 1 + best(mask & ~(1 << v))
+            if cand > result:
+                result = cand
+        return result
+
+    return best((1 << g.n) - 1)
 
 
 def maximum_matchings_bf(g: Graph) -> list[tuple[Edge, ...]]:

@@ -13,7 +13,6 @@ import oracles
 from kegraph import (
     enumerate_maximum_matchings,
     maximum_matching,
-    maximum_matching_bruteforce,
     mu_critical_edges,
     parameter_report,
     perfect_matching_status,
@@ -92,7 +91,7 @@ def test_criterion_04_fig8_exactness():
     g = fixture.graph
     r = parameter_report(g)
     assert (r.xi, r.eta, r.alpha, r.sigma) == (2, 0, 4, 1)
-    assert r.mu == 3 == maximum_matching_bruteforce(g)
+    assert r.mu == 3 == oracles.maximum_matching_bruteforce(g)
     assert "4" in fixture.notes and "mu = 3" in fixture.notes  # discrepancy flagged
     assert not (r.eq_alpha or r.eq_mu or r.eq_n)  # tree equalities must fail here
     _announce(4, "fig8 fixture exact, mu discrepancy flagged")
@@ -138,7 +137,7 @@ def test_criterion_08_oracle_equivalence():
         n = 2 + i % 9  # 2..10
         p = (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5]
         g = generate(GeneratorConfig("gnp", n, p=p, seed=90000 + i))
-        assert maximum_matching(g).mu == maximum_matching_bruteforce(g)
+        assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
         shared = set(g.edges)
         for m in enumerate_maximum_matchings(g):
             shared &= set(m.edges)

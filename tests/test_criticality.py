@@ -4,18 +4,22 @@ import pytest
 
 import oracles
 from kegraph import (
+    Edge,
     Graph,
     PreconditionError,
     alpha_critical_edges,
     alpha_critical_vertices,
     criticality_report,
+    delete_edge,
     enumerate_maximum_stable_sets,
+    forced_matching_edges,
     from_edge_list,
     is_koenig_egervary,
+    matching_number,
     mu_critical_edges,
     perfect_matching_status,
+    stability_number,
 )
-from kegraph.criticality import alpha_critical_edges_via_matching
 from kegraph.harness import GeneratorConfig, fixtures, generate
 
 
@@ -25,6 +29,18 @@ def corpus(count: int, n: int, base_seed: int = 0):
         generate(GeneratorConfig("gnp", 2 + (i % (n - 1)), p=ps[i % len(ps)], seed=base_seed + i))
         for i in range(count)
     ]
+
+
+def alpha_critical_edges_via_matching(g: Graph) -> tuple[Edge, ...]:
+    """Filtered route: alpha-test only the edges that lie in every maximum matching.
+
+    Sound only when alpha(g) + mu(g) = n(g); the tests below check that it
+    agrees with the package's definition route on such inputs.
+    """
+    alpha = stability_number(g)
+    if alpha + matching_number(g) != g.n:
+        raise PreconditionError("fast path requires a König-Egerváry graph")
+    return tuple(e for e in forced_matching_edges(g) if stability_number(delete_edge(g, e)) > alpha)
 
 
 class TestAlphaCriticalEdges:

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+import kegraph
+import kegraph.harness
 import oracles
 from kegraph import (
+    DEFAULT_CAPS,
     CapacityError,
     Graph,
     Matching,
+    SolverCaps,
     enumerate_maximum_matchings,
     enumerate_maximum_stable_sets,
     forced_matching_edges,
@@ -14,11 +20,10 @@ from kegraph import (
     lex_min_maximum_stable_set,
     matching_report,
     maximum_matching,
-    maximum_matching_bruteforce,
     perfect_matching_status,
     stability_number,
 )
-from kegraph.harness import GeneratorConfig, fixtures, generate
+from kegraph.harness import GeneratorConfig, check, fixtures, generate
 
 
 def gnp(seed: int, n: int, p: float) -> Graph:
@@ -49,7 +54,7 @@ class TestStabilityNumber:
     def test_cap(self):
         with pytest.raises(CapacityError):
             stability_number(Graph(41, ()))
-        assert stability_number(Graph(41, ()), max_n=41) == 41
+        assert stability_number(Graph(41, ()), SolverCaps(alpha=41)) == 41
 
     def test_lex_min_set(self):
         for g in corpus(40, 10, base_seed=500):
@@ -87,8 +92,8 @@ class TestOmegaEnumeration:
     def test_set_cap_is_exact_error(self):
         eight_edges = from_edge_list(16, [(2 * i, 2 * i + 1) for i in range(8)])
         with pytest.raises(CapacityError):
-            enumerate_maximum_stable_sets(eight_edges, cap=255)
-        report = enumerate_maximum_stable_sets(eight_edges, cap=256)
+            enumerate_maximum_stable_sets(eight_edges, SolverCaps(omega_sets=255))
+        report = enumerate_maximum_stable_sets(eight_edges, SolverCaps(omega_sets=256))
         assert len(report.omega) == 256
 
     def test_vertex_cap(self):
@@ -116,12 +121,12 @@ class TestMaximumMatching:
 
     def test_agrees_with_bruteforce_small(self):
         for g in corpus(120, 10, base_seed=300):
-            assert maximum_matching(g).mu == maximum_matching_bruteforce(g)
+            assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
 
     def test_petersen_size_samples(self):
         for seed in range(30):
             g = gnp(seed, 10, 0.3)
-            assert maximum_matching(g).mu == maximum_matching_bruteforce(g)
+            assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
 
     def test_odd_components_and_blossoms(self):
         # Two triangles joined by a bridge force blossom contraction.
@@ -129,9 +134,9 @@ class TestMaximumMatching:
         assert maximum_matching(g).mu == 3
 
     def test_bruteforce_cap_and_empty(self):
-        assert maximum_matching_bruteforce(Graph(3, ())) == 0
+        assert oracles.maximum_matching_bruteforce(Graph(3, ())) == 0
         with pytest.raises(CapacityError):
-            maximum_matching_bruteforce(Graph(13, ()))
+            oracles.maximum_matching_bruteforce(Graph(13, ()))
 
     def test_mu_at_most_half_n(self):
         for g in corpus(60, 12, base_seed=400):
@@ -198,7 +203,7 @@ class TestMatchingEnumeration:
     def test_cap(self):
         k8 = generate(GeneratorConfig("complete", 8))
         with pytest.raises(CapacityError):
-            enumerate_maximum_matchings(k8, cap=10)
+            enumerate_maximum_matchings(k8, SolverCaps(matchings=10))
 
 
 class TestMatchingReport:
@@ -211,3 +216,43 @@ class TestMatchingReport:
     def test_plain_maximum_matching_leaves_extras_unset(self):
         report = maximum_matching(fixtures()["k3_plus_e"].graph)
         assert report.perfect_matching_count is None and report.forced_edges is None
+
+
+class TestSolverCaps:
+    def test_caps_is_the_only_limit_parameter(self):
+        checked = 0
+        for module in (kegraph, kegraph.harness):
+            for name, obj in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(inspect.unwrap(obj)):
+                    continue
+                params = inspect.signature(obj).parameters
+                assert not {"max_n", "cap"} & set(params), name
+                if "caps" in params:
+                    assert params["caps"].default is DEFAULT_CAPS, name
+                    checked += 1
+        assert checked >= 10
+
+    def test_raised_caps_keep_alpha_at_least_omega_vertices(self):
+        for caps in (DEFAULT_CAPS, DEFAULT_CAPS.raised_to(12), DEFAULT_CAPS.raised_to(33)):
+            assert caps.alpha >= caps.omega_vertices
+
+    def test_refusal_reasons(self):
+        eight_edges = from_edge_list(16, [(2 * i, 2 * i + 1) for i in range(8)])
+        reasons = [
+            (Graph(41, ()), "L1", DEFAULT_CAPS,
+             "capacity: stability solver capped at n=40, got n=41"),
+            (Graph(21, ()), "NC", DEFAULT_CAPS,
+             "capacity: stable-set enumeration capped at n=20, got n=21"),
+            (eight_edges, "NC", SolverCaps(omega_sets=255),
+             "capacity: more than 255 maximum stable sets"),
+            (Graph(15, ()), "BHP", DEFAULT_CAPS,
+             "capacity: odd-cycle search capped at n=14, got n=15"),
+        ]
+        for g, cid, caps, reason in reasons:
+            verdict = check(g, cid, caps)
+            assert (verdict.status, verdict.reason) == ("NotApplicable", reason)
+        # No check enumerates matchings past the forced-edge cross-check's n <= 10.
+        k8 = generate(GeneratorConfig("complete", 8))
+        with pytest.raises(CapacityError) as exc:
+            enumerate_maximum_matchings(k8, SolverCaps(matchings=10))
+        assert str(exc.value) == "more than 10 maximum matchings"
