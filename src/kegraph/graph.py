@@ -104,14 +104,18 @@ class Matching:
     def covered(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
 
+    @cached_property
+    def _partners(self) -> dict[int, int]:
+        mates = {u: w for u, w in self.edges}
+        mates.update((w, u) for u, w in self.edges)
+        return mates
+
     def partner(self, v: int) -> int:
         """Vertex matched to v; InputError if v is uncovered."""
-        for u, w in self.edges:
-            if v == u:
-                return w
-            if v == w:
-                return u
-        raise InputError(f"vertex {v} is not covered by the matching")
+        try:
+            return self._partners[v]
+        except KeyError:
+            raise InputError(f"vertex {v} is not covered by the matching") from None
 
 
 def vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import CapacityError, InternalInvariantError
-from .graph import Edge, Graph, Matching, delete_edge
+from .graph import Edge, Graph, Matching
 
 _FORCED_EDGE_CROSSCHECK_MAX_N = 10
 
@@ -121,7 +122,10 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
     Branch and bound: branch on a maximum-residual-degree vertex (take it or
     drop it), seeded with the greedy lower bound; subproblems that cannot beat
     the incumbent are pruned and residual graphs of maximum degree <= 1 are
-    closed out directly (isolated vertices plus disjoint edges).
+    closed out directly (isolated vertices plus disjoint edges). Pendant rule:
+    a vertex of residual degree 0 or 1 lies in some maximum stable set (swap
+    it for its one neighbour), so it is taken without branching; trees and
+    forests therefore never branch.
     """
     best = _greedy_stable_size(masks, mask)
 
@@ -132,6 +136,7 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
                 return
             max_d = -1
             max_v = -1
+            low_v = -1
             edge_doubled = 0
             rest = mask
             while rest:
@@ -142,9 +147,15 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
                 if d > max_d:
                     max_d = d
                     max_v = v
+                if d <= 1 and low_v < 0:
+                    low_v = v
             if max_d <= 1:
                 size += mask.bit_count() - edge_doubled // 2
                 break
+            if low_v >= 0:
+                size += 1
+                mask &= ~(masks[low_v] | (1 << low_v))
+                continue
             search(mask & ~(masks[max_v] | (1 << max_v)), size + 1)
             mask &= ~(1 << max_v)
         if size > best:
@@ -221,7 +232,7 @@ def enumerate_maximum_stable_sets(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> 
     return StableSetReport(alpha=alpha, omega=tuple(found), core=core, anticore=anticore)
 
 
-def _blossom_augment(adj: tuple[tuple[int, ...], ...], match: list[int], start: int) -> bool:
+def _blossom_augment(adj: Sequence[Sequence[int]], match: list[int], start: int) -> bool:
     # One BFS phase of the contraction blossom algorithm from `start`.
     n = len(adj)
     parent = [-1] * n
@@ -383,22 +394,42 @@ def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tu
     return tuple(Matching(m) for m in sorted(found))
 
 
+def _augments_without(g: Graph, mate: list[int], e: Edge) -> bool:
+    # Does the maximum matching `mate` minus its edge e have an augmenting
+    # path in g - e? Any such path ends at an endpoint of e.
+    u, v = e
+    adj = list(g.adj)
+    adj[u] = tuple(w for w in adj[u] if w != v)
+    adj[v] = tuple(w for w in adj[v] if w != u)
+    match = mate.copy()
+    match[u] = match[v] = -1
+    return _blossom_augment(adj, match, u) or _blossom_augment(adj, match, v)
+
+
 @memo
 def forced_matching_edges(g: Graph) -> tuple[Edge, ...]:
     """Edges present in every maximum matching: deleting one lowers mu.
 
-    Up to 10 vertices the definition is cross-checked against the intersection
+    Only an edge of the blossom witness M can be in every maximum matching.
+    For uv in M, mu(g - uv) = mu iff M - uv has an augmenting path in g - uv
+    (Berge), and since M is maximum every such path ends at u or v; so uv is
+    forced iff one augmenting-path search from u and one from v both fail.
+    Up to 10 vertices the result is cross-checked against the intersection
     of the explicitly enumerated maximum matchings.
     """
-    mu = maximum_matching(g).mu
-    forced = tuple(e for e in g.edges if maximum_matching(delete_edge(g, e)).mu < mu)
+    witness = maximum_matching(g).witness
+    mate = [-1] * g.n
+    for u, v in witness.edges:
+        mate[u] = v
+        mate[v] = u
+    forced = tuple(e for e in witness.edges if not _augments_without(g, mate, e))
     if g.n <= _FORCED_EDGE_CROSSCHECK_MAX_N:
         shared = set(g.edges)
         for m in enumerate_maximum_matchings(g):
             shared &= set(m.edges)
         if tuple(sorted(shared)) != forced:
             raise InternalInvariantError(
-                f"forced-edge routes disagree: deletion={forced} intersection={tuple(sorted(shared))}"
+                f"forced-edge routes disagree: augmenting={forced} intersection={tuple(sorted(shared))}"
             )
     return forced
 

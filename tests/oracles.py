@@ -48,8 +48,48 @@ def alpha_bf(g: Graph) -> int:
     return max(m.bit_count() for m in stable_masks(g))
 
 
-def alpha_bf_without_vertex(g: Graph, v: int) -> int:
-    return max(m.bit_count() for m in stable_masks(g) if not (m >> v) & 1)
+def alpha_bf_within(g: Graph, mask: int) -> int:
+    """Stability number of the subgraph induced by the vertex bitset `mask`."""
+    return max(m.bit_count() for m in stable_masks(g) if not m & ~mask)
+
+
+def alpha_tree_dp(g: Graph) -> int:
+    """Stability number of a forest by take/skip dynamic programming.
+
+    take[v] / skip[v] are the largest stable sets of v's subtree that hold or
+    avoid v; children are folded into parents in reverse DFS order.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order: list[int] = []
+    roots = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        roots += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    stack.append(w)
+    assert g.m == g.n - roots, "not a forest"
+    take = [1] * g.n
+    skip = [0] * g.n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            take[p] += skip[v]
+            skip[p] += max(take[v], skip[v])
+    return sum(max(take[v], skip[v]) for v in range(g.n) if parent[v] < 0)
 
 
 def omega_bf(g: Graph) -> list[tuple[int, ...]]:
@@ -146,7 +186,8 @@ def mu_critical_edges_bf(g: Graph) -> tuple[Edge, ...]:
 
 def alpha_critical_vertices_bf(g: Graph) -> tuple[int, ...]:
     a = alpha_bf(g)
-    return tuple(v for v in range(g.n) if alpha_bf_without_vertex(g, v) < a)
+    full = (1 << g.n) - 1
+    return tuple(v for v in range(g.n) if alpha_bf_within(g, full & ~(1 << v)) < a)
 
 
 def has_odd_cycle_bf(g: Graph) -> bool:

@@ -11,6 +11,7 @@ from kegraph import (
     alpha_critical_vertices,
     criticality_report,
     delete_edge,
+    delete_vertices,
     enumerate_maximum_stable_sets,
     forced_matching_edges,
     from_edge_list,
@@ -41,6 +42,45 @@ def alpha_critical_edges_via_matching(g: Graph) -> tuple[Edge, ...]:
     if alpha + matching_number(g) != g.n:
         raise PreconditionError("fast path requires a König-Egerváry graph")
     return tuple(e for e in forced_matching_edges(g) if stability_number(delete_edge(g, e)) > alpha)
+
+
+def alpha_critical_edges_by_deletion(g: Graph) -> tuple[Edge, ...]:
+    alpha = stability_number(g)
+    return tuple(e for e in g.edges if stability_number(delete_edge(g, e)) > alpha)
+
+
+def alpha_critical_vertices_by_deletion(g: Graph) -> tuple[int, ...]:
+    alpha = stability_number(g)
+    return tuple(v for v in range(g.n) if stability_number(delete_vertices(g, (v,))[0]) < alpha)
+
+
+def forced_matching_edges_by_deletion(g: Graph) -> tuple[Edge, ...]:
+    mu = matching_number(g)
+    return tuple(e for e in g.edges if matching_number(delete_edge(g, e)) < mu)
+
+
+def mid_size_corpus() -> list[Graph]:
+    # Trees, KE graphs and sparse G(n,p) at n = 16..30, past the brute-force range.
+    out = []
+    for i, n in enumerate(range(16, 31, 2)):
+        out.append(generate(GeneratorConfig("tree", n, seed=5000 + i)))
+        out.append(generate(GeneratorConfig("ke_synth", n, p=(0.1, 0.2, 0.3)[i % 3], seed=5100 + i)))
+        out.append(generate(GeneratorConfig("gnp", n, p=(0.1, 0.15, 0.2)[i % 3], seed=5200 + i)))
+    return out
+
+
+class TestDefinitionRoutes:
+    def test_alpha_critical_edges(self):
+        for g in mid_size_corpus():
+            assert alpha_critical_edges(g) == alpha_critical_edges_by_deletion(g)
+
+    def test_alpha_critical_vertices(self):
+        for g in mid_size_corpus():
+            assert alpha_critical_vertices(g) == alpha_critical_vertices_by_deletion(g)
+
+    def test_forced_matching_edges(self):
+        for g in mid_size_corpus():
+            assert forced_matching_edges(g) == forced_matching_edges_by_deletion(g)
 
 
 class TestAlphaCriticalEdges:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from kegraph import (
     stability_number,
 )
 from kegraph.harness import GeneratorConfig, check, fixtures, generate
+from kegraph.solvers import _alpha_of_mask
 
 
 def gnp(seed: int, n: int, p: float) -> Graph:
@@ -60,6 +62,53 @@ class TestStabilityNumber:
         for g in corpus(40, 10, base_seed=500):
             got = lex_min_maximum_stable_set(g)
             assert got == min(oracles.omega_bf(g))
+
+
+def random_forest(rng: random.Random, n: int) -> Graph:
+    # Disjoint Prüfer trees (isolated vertices among them), randomly relabeled.
+    edges = []
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        tree = generate(GeneratorConfig("tree", size, seed=rng.randrange(1 << 30)))
+        edges += [(start + u, start + v) for u, v in tree.edges]
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def caterpillar(rng: random.Random, n: int) -> Graph:
+    spine = rng.randint(1, n)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), leaf) for leaf in range(spine, n)]
+    return from_edge_list(n, edges)
+
+
+class TestPendantRule:
+    def test_trees_and_forests_match_tree_dp(self):
+        rng = random.Random(4100)
+        for n in range(1, 41):
+            for seed in range(2):
+                tree = generate(GeneratorConfig("tree", n, seed=4100 + 2 * n + seed))
+                assert stability_number(tree) == oracles.alpha_tree_dp(tree)
+            forest = random_forest(rng, n)
+            assert stability_number(forest) == oracles.alpha_tree_dp(forest)
+
+    def test_sub_masks_match_subset_oracle(self):
+        rng = random.Random(4200)
+        graphs = []
+        for n in range(2, 15):
+            graphs.append(generate(GeneratorConfig("path", n)))
+            graphs.append(from_edge_list(n, [(0, v) for v in range(1, n)]))
+            graphs.append(caterpillar(rng, n))
+            k = rng.randint(1, n - 1)
+            graphs.append(Graph(n, gnp(4200 + n, n - k, 0.35).edges))
+            graphs.append(gnp(4300 + n, n, 0.2))
+        for g in graphs:
+            full = (1 << g.n) - 1
+            for mask in [full] + [rng.getrandbits(g.n) for _ in range(4)]:
+                assert _alpha_of_mask(g.adjacency_masks, mask) == oracles.alpha_bf_within(g, mask)
 
 
 class TestOmegaEnumeration:
@@ -185,6 +234,11 @@ class TestForcedEdges:
 
     def test_matches_oracle(self):
         for g in corpus(80, 9, base_seed=700):
+            assert forced_matching_edges(g) == oracles.mu_critical_edges_bf(g)
+
+    def test_matches_oracle_at_eleven_and_twelve(self):
+        for i in range(24):
+            g = gnp(4400 + i, 11 + i % 2, (0.2, 0.25, 0.3)[i % 3])
             assert forced_matching_edges(g) == oracles.mu_critical_edges_bf(g)
 
     def test_unique_pm_forces_exactly_its_edges(self):
