@@ -97,37 +97,20 @@ class MatchingReport:
     forced_edges: tuple[Edge, ...] | None = None
 
 
-def _greedy_stable_size(masks: tuple[int, ...], mask: int) -> int:
-    # Repeatedly take a minimum-residual-degree vertex; lower bound for alpha.
-    size = 0
-    while mask:
-        best_v = -1
-        best_d = 1 << 62
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (masks[v] & mask).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = v
-        size += 1
-        mask &= ~(masks[best_v] | (1 << best_v))
-    return size
-
-
 def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
     """Exact stability number of the subgraph induced by a vertex bitset.
 
-    Branch and bound: branch on a maximum-residual-degree vertex (take it or
-    drop it), seeded with the greedy lower bound; subproblems that cannot beat
-    the incumbent are pruned and residual graphs of maximum degree <= 1 are
-    closed out directly (isolated vertices plus disjoint edges). Pendant rule:
-    a vertex of residual degree 0 or 1 lies in some maximum stable set (swap
-    it for its one neighbour), so it is taken without branching; trees and
-    forests therefore never branch.
+    Branch and bound: branch on a maximum-residual-degree vertex, searching
+    the branch that drops it before the one that takes it; subproblems that
+    cannot beat the incumbent are pruned and residual graphs of maximum
+    degree <= 1 are closed out directly (isolated vertices plus disjoint
+    edges). The first dive thus deletes maximum-degree vertices down to the
+    close-out, which is the max-degree-deletion greedy, and its leaf seeds
+    the incumbent. Pendant rule: a vertex of residual degree 0 or 1 lies in some
+    maximum stable set (swap it for its one neighbour), so it is taken
+    without branching; trees and forests therefore never branch.
     """
-    best = _greedy_stable_size(masks, mask)
+    best = 0
 
     def search(mask: int, size: int) -> None:
         nonlocal best
@@ -156,8 +139,9 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
                 size += 1
                 mask &= ~(masks[low_v] | (1 << low_v))
                 continue
-            search(mask & ~(masks[max_v] | (1 << max_v)), size + 1)
-            mask &= ~(1 << max_v)
+            search(mask & ~(1 << max_v), size)
+            size += 1
+            mask &= ~(masks[max_v] | (1 << max_v))
         if size > best:
             best = size
 

@@ -14,6 +14,7 @@ from kegraph import (
     Graph,
     Matching,
     SolverCaps,
+    delete_vertices,
     enumerate_maximum_matchings,
     enumerate_maximum_stable_sets,
     forced_matching_edges,
@@ -57,6 +58,21 @@ class TestStabilityNumber:
         with pytest.raises(CapacityError):
             stability_number(Graph(41, ()))
         assert stability_number(Graph(41, ()), SolverCaps(alpha=41)) == 41
+
+    def test_large_bipartite_against_koenig(self):
+        # König: alpha = n - mu on bipartite graphs. The blossom shares no code
+        # with the branch and bound, and unlike trees these graphs make it branch.
+        rng = random.Random(4600)
+        for i in range(24):
+            total = 24 + (i * 16) // 23
+            n1 = rng.randint(total // 3, total - total // 3)
+            p = (0.15, 0.25, 0.3, 0.4)[i % 4]
+            g = generate(GeneratorConfig("bipartite", n1, n2=total - n1, p=p, seed=4600 + i))
+            assert stability_number(g) == g.n - maximum_matching(g).mu
+            for _ in range(4):
+                mask = rng.getrandbits(g.n)
+                sub, _ = delete_vertices(g, [v for v in range(g.n) if not (mask >> v) & 1])
+                assert _alpha_of_mask(g.adjacency_masks, mask) == mask.bit_count() - maximum_matching(sub).mu
 
     def test_lex_min_set(self):
         for g in corpus(40, 10, base_seed=500):
@@ -105,6 +121,8 @@ class TestPendantRule:
             k = rng.randint(1, n - 1)
             graphs.append(Graph(n, gnp(4200 + n, n - k, 0.35).edges))
             graphs.append(gnp(4300 + n, n, 0.2))
+        for n in range(2, 15):
+            graphs += [gnp(4400 + n, n, 0.5), gnp(4500 + n, n, 0.8)]
         for g in graphs:
             full = (1 << g.n) - 1
             for mask in [full] + [rng.getrandbits(g.n) for _ in range(4)]:
