@@ -15,10 +15,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import CapacityError, InternalInvariantError
+from .errors import CapacityError
 from .graph import Edge, Graph, Matching
-
-_FORCED_EDGE_CROSSCHECK_MAX_N = 10
 
 # The package's one cache mechanism. Calls inside the package pass `caps`
 # positionally, because f(g), f(g, caps) and f(g, caps=caps) are three
@@ -83,7 +81,11 @@ class StableSetReport:
 
 @dataclass(frozen=True)
 class PerfectMatchingStatus:
-    """Perfect-matching count saturated at 2, with up to two witnesses."""
+    """Perfect-matching count saturated at 2, with up to two witnesses.
+
+    count is 0, 1, or 2 for two or more; witnesses holds `count` distinct
+    perfect matchings, and witnesses[0] is the blossom witness.
+    """
 
     count: int
     witnesses: tuple[Matching, ...]
@@ -298,8 +300,12 @@ def maximum_matching(g: Graph) -> MatchingReport:
     for u in range(n):
         if match[u] == -1:
             _blossom_augment(adj, match, u)
-    edges = tuple(sorted((u, match[u]) for u in range(n) if match[u] > u))
-    return MatchingReport(mu=len(edges), witness=Matching(edges))
+    witness = _as_matching(match)
+    return MatchingReport(mu=witness.size, witness=witness)
+
+
+def _as_matching(match: list[int]) -> Matching:
+    return Matching(tuple((u, w) for u, w in enumerate(match) if w > u))
 
 
 def matching_number(g: Graph) -> int:
@@ -310,37 +316,21 @@ def matching_number(g: Graph) -> int:
 def perfect_matching_status(g: Graph) -> PerfectMatchingStatus:
     """Count perfect matchings with saturation at 2 plus up to two witnesses.
 
-    The empty graph reports exactly one perfect matching (the empty one).
-    Backtracking always extends the lowest uncovered vertex, so a stuck vertex
-    prunes the branch immediately.
+    With M the blossom witness: the count is 0 if M is not perfect. Otherwise
+    any other perfect matching misses an edge of M, so the count is 1 iff
+    every edge of M is forced (`forced_matching_edges`), and 2 if not.
+    `witnesses[0]` is M; with count 2, `witnesses[1]` is the perfect matching
+    found by augmenting M minus its first non-forced edge. The empty graph
+    reports exactly one perfect matching (the empty one).
     """
-    if g.n == 0:
-        return PerfectMatchingStatus(1, (Matching(()),))
-    if g.n % 2 == 1 or any(not nb for nb in g.adj):
+    witness = maximum_matching(g).witness
+    if 2 * witness.size < g.n:
         return PerfectMatchingStatus(0, ())
-    masks = g.adjacency_masks
-    found: list[tuple[Edge, ...]] = []
-    chosen: list[Edge] = []
-
-    def search(mask: int) -> bool:
-        if mask == 0:
-            found.append(tuple(chosen))
-            return len(found) >= 2
-        u = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << u)
-        nb = masks[u] & rest
-        while nb:
-            v = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            chosen.append((u, v))
-            if search(rest & ~(1 << v)):
-                chosen.pop()
-                return True
-            chosen.pop()
-        return False
-
-    search((1 << g.n) - 1)
-    return PerfectMatchingStatus(min(len(found), 2), tuple(Matching(m) for m in found[:2]))
+    forced = forced_matching_edges(g)
+    if forced == witness.edges:
+        return PerfectMatchingStatus(1, (witness,))
+    free = next(e for e in witness.edges if e not in forced)
+    return PerfectMatchingStatus(2, (witness, _as_matching(_augmented_without(g, witness, free))))
 
 
 def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Matching, ...]:
@@ -378,16 +368,22 @@ def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tu
     return tuple(Matching(m) for m in sorted(found))
 
 
-def _augments_without(g: Graph, mate: list[int], e: Edge) -> bool:
-    # Does the maximum matching `mate` minus its edge e have an augmenting
-    # path in g - e? Any such path ends at an endpoint of e.
+def _augmented_without(g: Graph, witness: Matching, e: Edge) -> list[int] | None:
+    # The maximum matching `witness` minus its edge e, augmented once in
+    # g - e, as a mate array; None if it has no augmenting path there. Any
+    # such path ends at an endpoint of e.
     u, v = e
     adj = list(g.adj)
     adj[u] = tuple(w for w in adj[u] if w != v)
     adj[v] = tuple(w for w in adj[v] if w != u)
-    match = mate.copy()
+    match = [-1] * g.n
+    for a, b in witness.edges:
+        match[a] = b
+        match[b] = a
     match[u] = match[v] = -1
-    return _blossom_augment(adj, match, u) or _blossom_augment(adj, match, v)
+    if _blossom_augment(adj, match, u) or _blossom_augment(adj, match, v):
+        return match
+    return None
 
 
 @memo
@@ -398,24 +394,9 @@ def forced_matching_edges(g: Graph) -> tuple[Edge, ...]:
     For uv in M, mu(g - uv) = mu iff M - uv has an augmenting path in g - uv
     (Berge), and since M is maximum every such path ends at u or v; so uv is
     forced iff one augmenting-path search from u and one from v both fail.
-    Up to 10 vertices the result is cross-checked against the intersection
-    of the explicitly enumerated maximum matchings.
     """
     witness = maximum_matching(g).witness
-    mate = [-1] * g.n
-    for u, v in witness.edges:
-        mate[u] = v
-        mate[v] = u
-    forced = tuple(e for e in witness.edges if not _augments_without(g, mate, e))
-    if g.n <= _FORCED_EDGE_CROSSCHECK_MAX_N:
-        shared = set(g.edges)
-        for m in enumerate_maximum_matchings(g):
-            shared &= set(m.edges)
-        if tuple(sorted(shared)) != forced:
-            raise InternalInvariantError(
-                f"forced-edge routes disagree: augmenting={forced} intersection={tuple(sorted(shared))}"
-            )
-    return forced
+    return tuple(e for e in witness.edges if _augmented_without(g, witness, e) is None)
 
 
 def matching_report(g: Graph) -> MatchingReport:

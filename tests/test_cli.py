@@ -5,7 +5,7 @@ import json
 import pytest
 
 from kegraph.cli import main
-from kegraph.graph import format_edge_list
+from kegraph.graph import format_edge_list, from_edge_list
 from kegraph.harness import GeneratorConfig, generate
 
 
@@ -135,6 +135,18 @@ class TestVerify:
     def test_unknown_check_exits_2(self, capsys, tree_file):
         code, _, err = run(capsys, "verify", "--input", tree_file, "--checks", "NOPE")
         assert code == 2 and "unknown check" in err
+
+    def test_l1_on_two_odd_cliques(self, capsys, tmp_path):
+        # 2 x K19: no perfect matching, and n = 38 is inside the alpha cap.
+        clique = [(u, v) for u in range(19) for v in range(u + 1, 19)]
+        two_k19 = from_edge_list(38, clique + [(u + 19, v + 19) for u, v in clique])
+        path = tmp_path / "two_k19.txt"
+        path.write_text(format_edge_list(two_k19))
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "L1")
+        assert code == 0
+        verdict = json.loads(out)[0]
+        assert verdict["status"] == "NotApplicable"
+        assert verdict["reason"] == "no perfect matching and not a König-Egerváry graph"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -26,6 +26,7 @@ from kegraph import (
     stability_number,
 )
 from kegraph.harness import GeneratorConfig, check, fixtures, generate
+from kegraph.harness.generators import KINDS, MIN_N
 from kegraph.solvers import _alpha_of_mask
 
 
@@ -210,6 +211,15 @@ class TestMaximumMatching:
             assert 2 * maximum_matching(g).mu <= g.n
 
 
+def assert_sound(g: Graph, status) -> None:
+    # Each witness is a perfect matching of g, and two witnesses differ.
+    assert len(status.witnesses) == status.count
+    for m in status.witnesses:
+        assert 2 * m.size == g.n and set(m.edges) <= g.edge_set
+    if status.count == 2:
+        assert status.witnesses[0] != status.witnesses[1]
+
+
 class TestPerfectMatchingStatus:
     def test_paths_and_cycles(self):
         assert perfect_matching_status(generate(GeneratorConfig("path", 4))).count == 1
@@ -239,6 +249,43 @@ class TestPerfectMatchingStatus:
             expected = min(oracles.perfect_matching_count_bf(g), 2)
             assert perfect_matching_status(g).count == expected
 
+    def test_forests_against_tree_dp(self):
+        # A forest has at most one perfect matching, and forests are KE, so
+        # it has one iff 2 * alpha = n.
+        rng = random.Random(4700)
+        for n in range(1, 41):
+            tree = generate(GeneratorConfig("tree", n, seed=4700 + n))
+            for g in (tree, random_forest(rng, n)):
+                status = perfect_matching_status(g)
+                assert status.count == (1 if 2 * oracles.alpha_tree_dp(g) == n else 0)
+                assert_sound(g, status)
+
+    def test_two_cliques_none_iff_odd(self):
+        for k in range(3, 20):
+            clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+            g = from_edge_list(2 * k, clique + [(u + k, v + k) for u, v in clique])
+            status = perfect_matching_status(g)
+            assert status.count == (0 if k % 2 else 2)
+            assert_sound(g, status)
+
+    def test_paths_cycles_cliques_up_to_forty(self):
+        for n in range(2, 41, 2):
+            expected = {"path": 1, "cycle": 2, "complete": 2 if n > 2 else 1}
+            for kind, count in expected.items():
+                if n < 4 and kind == "cycle":
+                    continue
+                g = generate(GeneratorConfig(kind, n))
+                status = perfect_matching_status(g)
+                assert status.count == count
+                assert_sound(g, status)
+
+    def test_sparse_gnp_eleven_to_fourteen(self):
+        for i in range(32):
+            g = gnp(4800 + i, 11 + i % 4, (0.2, 0.25, 0.3)[i % 3])
+            status = perfect_matching_status(g)
+            assert status.count == min(oracles.perfect_matching_count_bf(g), 2)
+            assert_sound(g, status)
+
 
 class TestForcedEdges:
     def test_c4_none(self):
@@ -253,6 +300,17 @@ class TestForcedEdges:
     def test_matches_oracle(self):
         for g in corpus(80, 9, base_seed=700):
             assert forced_matching_edges(g) == oracles.mu_critical_edges_bf(g)
+        for n in range(2, 11):
+            for kind in KINDS:
+                if n < MIN_N[kind]:
+                    continue
+                n1 = n // 2 if kind == "bipartite" else n
+                cfg = GeneratorConfig(kind, n1, n2=n - n1, p=0.3, seed=4900 + n)
+                g = generate(cfg)
+                shared = set(g.edges)
+                for m in enumerate_maximum_matchings(g):
+                    shared &= set(m.edges)
+                assert forced_matching_edges(g) == tuple(sorted(shared))
 
     def test_matches_oracle_at_eleven_and_twelve(self):
         for i in range(24):
