@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success / all checks pass, 1 at least one check failed,
-2 input or precondition error, 3 capacity (size cap) exceeded.
+Exit codes: 0 success / all checks pass, 1 at least one check failed or
+stdout was closed early, 2 input or precondition error, 3 capacity (size cap)
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -234,7 +236,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (`kegraph ... | head`). Point stdout at devnull
+        # so the interpreter's flush at exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

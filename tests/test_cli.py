@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kegraph
 from kegraph.cli import main
 from kegraph.graph import format_edge_list, from_edge_list
 from kegraph.harness import GeneratorConfig, generate
@@ -216,3 +221,22 @@ class TestChecksCommand:
         code, out, _ = run(capsys, "checks")
         assert code == 0
         assert "T1i:" in out and "P7-unguarded:" in out
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_1_quietly(self):
+        # `kegraph verify ... | head -c 100`. The output (about 370 kB) is
+        # larger than a pipe holds, so the writer is still writing when the
+        # reader closes, whatever the scheduling.
+        env = dict(os.environ, PYTHONPATH=str(Path(kegraph.__file__).parents[1]))
+        argv = ["verify", "--fixture", "w1", "--checks", ",".join(["NC"] * 4000)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kegraph.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -8,6 +8,7 @@ from kegraph import (
     InputError,
     delete_edge,
     delete_vertices,
+    from_edge_list,
     is_bipartite,
     is_connected,
     is_koenig_egervary,
@@ -26,6 +27,7 @@ from kegraph.harness import (
     generate,
     shrink_failure,
 )
+from kegraph.graph import Graph
 from kegraph.harness.checks import CHECK_STATEMENTS
 
 
@@ -135,6 +137,66 @@ class TestCheckCatalog:
     def test_c4_k1_not_applicable(self):
         k1 = generate(GeneratorConfig("tree", 1, seed=0))
         assert check(k1, "C4").status == NOT_APPLICABLE
+
+    def test_gate_reasons(self):
+        not_ke = "not a König-Egerváry graph"
+        connected = "needs a connected graph with at least one edge"
+        k1 = Graph(1, ())
+        k3 = generate(GeneratorConfig("complete", 3))
+        # K3 plus an isolated vertex fails every gate: KE, bipartite, tree, connected.
+        k3_k1 = from_edge_list(4, [(0, 1), (0, 2), (1, 2)])
+        two_k2 = from_edge_list(4, [(0, 1), (2, 3)])  # KE, bipartite, a forest
+        cases = [(k3, cid, not_ke) for cid in (
+            "T1i", "T1ii", "T1iii", "P5i", "P5ii", "P9i", "P9ii", "P9iii",
+            "C2", "P7", "P10", "L3", "T2", "P4",
+        )] + [
+            # Gates apply in order: the KE gate answers before connectivity.
+            (k3_k1, "CK2", not_ke),
+            (k3_k1, "P5iii", not_ke),
+            (two_k2, "CK2", connected),
+            (k1, "CK2", connected),
+            (two_k2, "P5iii", connected),
+            (k3, "P3", "not bipartite"),
+            (k3_k1, "C6", "not bipartite"),
+            (two_k2, "C6", connected),
+            (k3, "C1", "not a tree"),
+            (k3, "C5", "not a tree"),
+            (k3, "C3", "not a tree"),
+            (generate(GeneratorConfig("path", 3)), "C3", "tree has no perfect matching"),
+            (two_k2, "C4", "not a tree"),
+            (k1, "C4", "needs a tree with at least one edge"),
+            (fixtures()["w1"].graph, "L1", "no perfect matching and " + not_ke),
+            # C4 is KE, but its reduction is C4 itself, with two perfect matchings.
+            (generate(GeneratorConfig("cycle", 4)), "L3", "core reduction has no unique perfect matching"),
+        ] + [(k3_k1, cid, None) for cid in (
+            "BHP", "NC", "L6i", "L6ii", "L6iii", "H1", "P7-unguarded", "P3-unguarded",
+        )]
+        assert {cid for _, cid, _ in cases} == set(check_ids())
+        for g, cid, reason in cases:
+            verdict = check(g, cid)
+            if reason is None:
+                assert verdict.status != NOT_APPLICABLE, (cid, verdict)
+            else:
+                assert (verdict.status, verdict.reason) == (NOT_APPLICABLE, reason), (cid, g)
+
+    def test_negative_controls_are_their_gated_bodies(self):
+        corpus = [f.graph for f in fixtures().values()]
+        for seed in range(40):
+            n = 2 + seed % 11
+            p = 0.1 + (seed % 9) / 10
+            corpus.append(generate(GeneratorConfig("ke_synth", n, p=p, seed=seed)))
+            corpus.append(generate(GeneratorConfig("bipartite", n, n2=1 + seed % 5, p=p, seed=seed)))
+            corpus.append(generate(GeneratorConfig("tree", n, seed=seed)))
+        compared = 0
+        for g in corpus:
+            if not is_koenig_egervary(g):
+                continue
+            for control, gated in (("P7-unguarded", "P7"), ("P3-unguarded", "T1ii")):
+                a, b = check(g, control).to_dict(), check(g, gated).to_dict()
+                assert a.pop("check_id") == control and b.pop("check_id") == gated
+                assert a == b, (control, g)
+            compared += 1
+        assert compared > 100
 
 
 class TestShrinking:

@@ -381,7 +381,7 @@ class TestSolverCaps:
         for g, cid, caps, reason in reasons:
             verdict = check(g, cid, caps)
             assert (verdict.status, verdict.reason) == ("NotApplicable", reason)
-        # No check enumerates matchings past the forced-edge cross-check's n <= 10.
+        # No check enumerates matchings, so only a direct call meets the matchings cap.
         k8 = generate(GeneratorConfig("complete", 8))
         with pytest.raises(CapacityError) as exc:
             enumerate_maximum_matchings(k8, SolverCaps(matchings=10))
