@@ -56,8 +56,6 @@ from .solvers import (
     enumerate_maximum_stable_sets,
     forced_matching_edges,
     lex_min_maximum_stable_set,
-    matching_number,
-    matching_report,
     maximum_matching,
     perfect_matching_status,
     stability_number,

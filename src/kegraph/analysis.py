@@ -210,12 +210,8 @@ def s0_procedure(
     if b1 in a_set or not 0 <= b1 < g0.n:
         raise PreconditionError("b1 must lie outside a_side")
 
-    partner = {}
-    for u, v in pm.edges:
-        partner[u] = v
-        partner[v] = u
     b_set = set(range(g0.n)) - a_set
-    a1 = partner[b1]
+    a1 = pm.partner(b1)
 
     s0 = {b1}
     d = {b1}
@@ -224,15 +220,15 @@ def s0_procedure(
         frontier = set()
         for v in d:
             frontier.update(g0.adj[v])
-        matched_from_s0 = {partner[v] for v in s0}
+        matched_from_s0 = {pm.partner(v) for v in s0}
         growth = (frontier & a_set) - matched_from_s0
         if not growth:
             break
         previous = set(s0)
-        s0 |= {partner[v] for v in growth}
+        s0 |= {pm.partner(v) for v in growth}
         d = s0 - previous
         steps.append((tuple(sorted(s0)), tuple(sorted(d))))
-    s0 |= {partner[v] for v in b_set - s0}
+    s0 |= {pm.partner(v) for v in b_set - s0}
 
     result = tuple(sorted(s0))
     trace = S0Trace(s0=result, steps=tuple(steps), target_edge=(min(a1, b1), max(a1, b1)))
@@ -246,7 +242,23 @@ def s0_procedure(
     return trace
 
 
-@memo
+def _counts(g: Graph, caps: SolverCaps) -> dict[str, int]:
+    """xi, eta, sigma, alpha, mu and n of g, in that order: the six numbers
+    that the count statements relate, and the witness of a count check."""
+    stable = enumerate_maximum_stable_sets(g, caps)
+    eta = len(alpha_critical_edges(g, caps))
+    return dict(
+        xi=stable.xi, eta=eta, sigma=stable.sigma, alpha=stable.alpha,
+        mu=maximum_matching(g).mu, n=g.n,
+    )
+
+
+def _count_equalities(counts: dict[str, int]) -> tuple[bool, bool, bool]:
+    """xi + eta = alpha, sigma + eta = mu and xi + 2*eta + sigma = n."""
+    xi, eta, sigma, alpha, mu, n = counts.values()
+    return xi + eta == alpha, sigma + eta == mu, xi + 2 * eta + sigma == n
+
+
 def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterReport:
     """Every structural parameter of one graph, with the KE identities verified.
 
@@ -254,40 +266,32 @@ def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterRepo
     if any of the three count sums exceeds its bound; those are theorems, so a
     violation is a solver bug.
     """
-    stable = enumerate_maximum_stable_sets(g, caps)
-    mu = maximum_matching(g).mu
-    acrit = alpha_critical_edges(g, caps)
-    mcrit = mu_critical_edges(g)
-    reduction, _ = g_zero(g, caps)
-    pm0 = perfect_matching_status(reduction)
-    alpha, xi, sigma = stable.alpha, stable.xi, stable.sigma
-    eta = len(acrit)
-    ke = alpha + mu == g.n
+    counts = _counts(g, caps)
+    xi, eta, sigma, alpha, mu, n = counts.values()
+    ke = alpha + mu == n
     if ke:
         if alpha + sigma != mu + xi:
             raise InternalInvariantError(f"alpha+sigma != mu+xi on a KE graph: {g}")
-        if xi + eta > alpha or sigma + eta > mu or xi + 2 * eta + sigma > g.n:
+        if xi + eta > alpha or sigma + eta > mu or xi + 2 * eta + sigma > n:
             raise InternalInvariantError(f"count-sum bound violated on a KE graph: {g}")
+    stable = enumerate_maximum_stable_sets(g, caps)
+    reduction, _ = g_zero(g, caps)
+    eq_alpha, eq_mu, eq_n = _count_equalities(counts)
     return ParameterReport(
-        n=g.n,
+        **counts,
         m=g.m,
-        alpha=alpha,
-        mu=mu,
-        xi=xi,
-        sigma=sigma,
-        eta=eta,
         is_ke=ke,
         is_bipartite=is_bipartite(g),
         is_tree=is_tree(g),
         core=stable.core,
         anticore=stable.anticore,
-        alpha_critical_edges=acrit,
-        mu_critical_edges=mcrit,
+        alpha_critical_edges=alpha_critical_edges(g, caps),
+        mu_critical_edges=mu_critical_edges(g),
         g0_size=reduction.n,
-        g0_pm_status=pm0.count,
-        eq_alpha=xi + eta == alpha,
-        eq_mu=sigma + eta == mu,
-        eq_n=xi + 2 * eta + sigma == g.n,
+        g0_pm_status=perfect_matching_status(reduction).count,
+        eq_alpha=eq_alpha,
+        eq_mu=eq_mu,
+        eq_n=eq_n,
     )
 
 
@@ -295,15 +299,15 @@ def th2_evaluate(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> Th2Evaluation:
     """Evaluate the five-way equivalence on a KE graph, each clause independently."""
     if not is_koenig_egervary(g, caps):
         raise PreconditionError("not a König-Egerváry graph")
-    report = parameter_report(g, caps)
+    eq_alpha, eq_mu, eq_n = _count_equalities(_counts(g, caps))
     reduction, _ = g_zero(g, caps)
     acrit0 = alpha_critical_edges(reduction, caps)
     return Th2Evaluation(
-        g0_unique_pm=report.g0_pm_status == 1,
+        g0_unique_pm=perfect_matching_status(reduction).count == 1,
         g0_critical_maximal=is_maximal_matching(reduction, acrit0),
-        eq_alpha=report.eq_alpha,
-        eq_mu=report.eq_mu,
-        eq_n=report.eq_n,
+        eq_alpha=eq_alpha,
+        eq_mu=eq_mu,
+        eq_n=eq_n,
     )
 
 

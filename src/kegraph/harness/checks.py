@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..analysis import (
+    _count_equalities,
+    _counts,
     forest_condition,
     g_zero,
     is_koenig_egervary,
-    parameter_report,
     th2_evaluate,
 )
 from ..criticality import alpha_critical_edges, mu_critical_edges
@@ -335,9 +336,9 @@ def _p9iii(g: Graph, caps: SolverCaps) -> dict | None:
 
 @_register("C2", "alpha + sigma = mu + xi on KE graphs", _KE)
 def _c2(g: Graph, caps: SolverCaps) -> dict | None:
-    r = parameter_report(g, caps)
-    if r.alpha + r.sigma != r.mu + r.xi:
-        return dict(alpha=r.alpha, sigma=r.sigma, mu=r.mu, xi=r.xi)
+    xi, _, sigma, alpha, mu, _ = _counts(g, caps).values()
+    if alpha + sigma != mu + xi:
+        return dict(alpha=alpha, sigma=sigma, mu=mu, xi=xi)
     return None
 
 
@@ -382,9 +383,10 @@ def _l6iii(g: Graph, caps: SolverCaps) -> dict | None:
 
 @_register("P7", "xi+eta <= alpha, sigma+eta <= mu, xi+2eta+sigma <= n on KE graphs", _KE)
 def _p7(g: Graph, caps: SolverCaps) -> dict | None:
-    r = parameter_report(g, caps)
-    if r.xi + r.eta > r.alpha or r.sigma + r.eta > r.mu or r.xi + 2 * r.eta + r.sigma > r.n:
-        return dict(xi=r.xi, eta=r.eta, sigma=r.sigma, alpha=r.alpha, mu=r.mu, n=r.n)
+    counts = _counts(g, caps)
+    xi, eta, sigma, alpha, mu, n = counts.values()
+    if xi + eta > alpha or sigma + eta > mu or xi + 2 * eta + sigma > n:
+        return counts
     return None
 
 
@@ -394,8 +396,7 @@ _register("P3-unguarded", "negative control: alpha-critical implies mu-critical,
 
 @_register("P10", "the three count equalities hold all together or not at all on KE graphs", _KE)
 def _p10(g: Graph, caps: SolverCaps) -> dict | None:
-    r = parameter_report(g, caps)
-    truth = (r.eq_alpha, r.eq_mu, r.eq_n)
+    truth = _count_equalities(_counts(g, caps))
     if sum(truth) not in (0, 3):
         return dict(equalities=list(truth))
     return None
@@ -428,14 +429,16 @@ def _t2(g: Graph, caps: SolverCaps) -> dict | None:
 
 @_register("C6", "bipartite five-way equivalence for a unique perfect matching", _BIPARTITE, _CONNECTED)
 def _c6(g: Graph, caps: SolverCaps) -> dict | None:
-    r = parameter_report(g, caps)
+    # alpha from the enumeration, so that its caps still make C6 NotApplicable.
+    alpha = enumerate_maximum_stable_sets(g, caps).alpha
     crit = alpha_critical_edges(g, caps)
+    eta = len(crit)
     flags = (
         perfect_matching_status(g).count == 1,
         is_maximal_matching(g, crit),
-        r.eta == r.alpha,
-        r.eta == r.mu,
-        2 * r.eta == r.n,
+        eta == alpha,
+        eta == maximum_matching(g).mu,
+        2 * eta == g.n,
     )
     if len(set(flags)) != 1:
         return dict(flags=list(flags))
@@ -447,17 +450,16 @@ def _p4(g: Graph, caps: SolverCaps) -> dict | None:
     holds, witness = forest_condition(g, caps)
     if not holds:
         return None  # vacuous
-    r = parameter_report(g, caps)
-    if not (r.eq_alpha and r.eq_mu and r.eq_n):
+    if not all(_count_equalities(_counts(g, caps))):
         return dict(stable_set=list(witness or ()))
     return None
 
 
 @_register("C1", "the three count equalities hold on every tree", _TREE)
 def _c1(g: Graph, caps: SolverCaps) -> dict | None:
-    r = parameter_report(g, caps)
-    if not (r.eq_alpha and r.eq_mu and r.eq_n):
-        return dict(xi=r.xi, eta=r.eta, sigma=r.sigma, alpha=r.alpha, mu=r.mu, n=r.n)
+    counts = _counts(g, caps)
+    if not all(_count_equalities(counts)):
+        return counts
     return None
 
 

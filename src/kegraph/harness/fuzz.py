@@ -99,7 +99,9 @@ def fuzz(
 
     cfg.n bounds the per-trial size from above; cfg.p = None sweeps the
     0.1..0.9 grid for the random kinds. Failures are shrunk and recorded with
-    their replayable edge-list serialization.
+    their replayable edge-list serialization. The summary counts verdicts per
+    check id, so an id listed twice is an InputError (`kegraph verify`, which
+    prints one verdict per listed id, accepts repeats).
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -108,6 +110,9 @@ def fuzz(
     if cfg.n < MIN_N[cfg.kind]:
         raise InputError(f"{cfg.kind} campaigns need n >= {MIN_N[cfg.kind]}")
     checks = tuple(checks)
+    repeated = [cid for i, cid in enumerate(checks) if cid in checks[:i]]
+    if repeated:
+        raise InputError(f"check id {repeated[0]!r} is listed more than once")
     counts = {cid: {"pass": 0, "fail": 0, "na": 0} for cid in checks}
     witnesses: list[dict] = []
     for trial in range(trials):

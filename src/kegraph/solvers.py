@@ -95,8 +95,6 @@ class PerfectMatchingStatus:
 class MatchingReport:
     mu: int
     witness: Matching
-    perfect_matching_count: int | None = None
-    forced_edges: tuple[Edge, ...] | None = None
 
 
 def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
@@ -308,10 +306,6 @@ def _as_matching(match: list[int]) -> Matching:
     return Matching(tuple((u, w) for u, w in enumerate(match) if w > u))
 
 
-def matching_number(g: Graph) -> int:
-    return maximum_matching(g).mu
-
-
 @memo
 def perfect_matching_status(g: Graph) -> PerfectMatchingStatus:
     """Count perfect matchings with saturation at 2 plus up to two witnesses.
@@ -397,14 +391,3 @@ def forced_matching_edges(g: Graph) -> tuple[Edge, ...]:
     """
     witness = maximum_matching(g).witness
     return tuple(e for e in witness.edges if _augmented_without(g, witness, e) is None)
-
-
-def matching_report(g: Graph) -> MatchingReport:
-    """MatchingReport with all fields populated."""
-    base = maximum_matching(g)
-    return MatchingReport(
-        mu=base.mu,
-        witness=base.witness,
-        perfect_matching_count=perfect_matching_status(g).count,
-        forced_edges=forced_matching_edges(g),
-    )

@@ -195,6 +195,14 @@ class TestFuzzCommand:
         assert code == 0
         assert json.loads(out)["cfg"]["kind"] == "ke_synth"
 
+    def test_repeated_check_id_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--gen", "tree", "--n", "6", "--trials", "5",
+            "--seed", "1", "--checks", "C1,C1",
+        )
+        assert code == 2 and out == ""
+        assert "'C1' is listed more than once" in err
+
 
 class TestFixturesCommand:
     def test_listing(self, capsys):

@@ -16,7 +16,7 @@ from kegraph import (
     forced_matching_edges,
     from_edge_list,
     is_koenig_egervary,
-    matching_number,
+    maximum_matching,
     mu_critical_edges,
     perfect_matching_status,
     stability_number,
@@ -39,7 +39,7 @@ def alpha_critical_edges_via_matching(g: Graph) -> tuple[Edge, ...]:
     agrees with the package's definition route on such inputs.
     """
     alpha = stability_number(g)
-    if alpha + matching_number(g) != g.n:
+    if alpha + maximum_matching(g).mu != g.n:
         raise PreconditionError("fast path requires a König-Egerváry graph")
     return tuple(e for e in forced_matching_edges(g) if stability_number(delete_edge(g, e)) > alpha)
 
@@ -55,8 +55,8 @@ def alpha_critical_vertices_by_deletion(g: Graph) -> tuple[int, ...]:
 
 
 def forced_matching_edges_by_deletion(g: Graph) -> tuple[Edge, ...]:
-    mu = matching_number(g)
-    return tuple(e for e in g.edges if matching_number(delete_edge(g, e)) < mu)
+    mu = maximum_matching(g).mu
+    return tuple(e for e in g.edges if maximum_matching(delete_edge(g, e)).mu < mu)
 
 
 def mid_size_corpus() -> list[Graph]:

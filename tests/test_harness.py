@@ -1,22 +1,32 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import kegraph.analysis
+import kegraph.harness.checks
 from kegraph import (
+    DEFAULT_CAPS,
     InputError,
+    InternalInvariantError,
     delete_edge,
     delete_vertices,
+    format_edge_list,
     from_edge_list,
     is_bipartite,
     is_connected,
     is_koenig_egervary,
     is_tree,
+    parameter_report,
     parse_edge_list,
 )
 from kegraph.harness import (
     FAIL,
+    KINDS,
+    MIN_N,
     NOT_APPLICABLE,
     PASS,
     GeneratorConfig,
@@ -198,6 +208,55 @@ class TestCheckCatalog:
             compared += 1
         assert compared > 100
 
+    def test_catalog_does_not_build_the_parameter_report(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check built the full parameter report")
+
+        monkeypatch.setattr(kegraph.analysis, "parameter_report", refuse)
+        monkeypatch.setattr(kegraph.harness.checks, "parameter_report", refuse, raising=False)
+        corpus = [f.graph for f in fixtures().values()]
+        for kind in KINDS:
+            for seed in range(8):
+                n = max(MIN_N[kind], 3 + seed)
+                p = (0.2, 0.4, 0.6)[seed % 3]
+                corpus.append(generate(GeneratorConfig(kind, n, n2=1 + seed % 4, p=p, seed=seed)))
+        decided = Counter()
+        for g in corpus:
+            for cid in check_ids():
+                if check(g, cid).status != NOT_APPLICABLE:
+                    decided[cid] += 1
+        for cid in ("C2", "P7", "P7-unguarded", "P10", "C1", "C6", "P4", "T2"):
+            assert decided[cid] > 10, cid
+
+    def test_count_checks_fail_on_a_wrong_count(self, monkeypatch):
+        # A solver bug that overstates sigma by one on K2 (alpha = mu = 1,
+        # xi = 0, eta = 1) must surface as Fail verdicts with their witness,
+        # while the report keeps refusing to state broken KE identities.
+        k2 = generate(GeneratorConfig("path", 2))
+        solve = kegraph.analysis.enumerate_maximum_stable_sets
+
+        def overstated(g, caps=DEFAULT_CAPS):
+            r = solve(g, caps)
+            return SimpleNamespace(
+                alpha=r.alpha, omega=r.omega, core=r.core, anticore=r.anticore,
+                xi=r.xi, sigma=r.sigma + 1,
+            )
+
+        monkeypatch.setattr(kegraph.analysis, "enumerate_maximum_stable_sets", overstated)
+        c2 = check(k2, "C2")
+        assert c2.status == FAIL
+        assert list(c2.witness.items()) == [
+            ("graph", format_edge_list(k2)), ("alpha", 1), ("sigma", 1), ("mu", 1), ("xi", 0),
+        ]
+        p7 = check(k2, "P7")
+        assert p7.status == FAIL
+        assert list(p7.witness.items()) == [
+            ("graph", format_edge_list(k2)),
+            ("xi", 0), ("eta", 1), ("sigma", 1), ("alpha", 1), ("mu", 1), ("n", 2),
+        ]
+        with pytest.raises(InternalInvariantError):
+            parameter_report(k2)
+
 
 class TestShrinking:
     def test_shrinks_to_minimal_failure(self):
@@ -265,6 +324,12 @@ class TestFuzz:
             fuzz(GeneratorConfig("tree", 9, seed=3), 0, ("C1",))
         with pytest.raises(InputError):
             fuzz(GeneratorConfig("cycle", 2, seed=3), 5, ("C1",))
+
+    def test_repeated_check_id(self):
+        # Counts are kept per id, so C1 listed twice would count 10 passes
+        # in 5 trials.
+        with pytest.raises(InputError, match="'C1' is listed more than once"):
+            fuzz(GeneratorConfig("tree", 6, seed=1), 5, ("C1", "H1", "C1"))
 
 
 class TestFixtures:

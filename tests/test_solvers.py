@@ -20,7 +20,6 @@ from kegraph import (
     forced_matching_edges,
     from_edge_list,
     lex_min_maximum_stable_set,
-    matching_report,
     maximum_matching,
     perfect_matching_status,
     stability_number,
@@ -334,18 +333,6 @@ class TestMatchingEnumeration:
         k8 = generate(GeneratorConfig("complete", 8))
         with pytest.raises(CapacityError):
             enumerate_maximum_matchings(k8, SolverCaps(matchings=10))
-
-
-class TestMatchingReport:
-    def test_full_report(self):
-        report = matching_report(fixtures()["k3_plus_e"].graph)
-        assert report.mu == 2
-        assert report.perfect_matching_count == 1
-        assert report.forced_edges == ((0, 3), (1, 2))
-
-    def test_plain_maximum_matching_leaves_extras_unset(self):
-        report = maximum_matching(fixtures()["k3_plus_e"].graph)
-        assert report.perfect_matching_count is None and report.forced_edges is None
 
 
 class TestSolverCaps:
