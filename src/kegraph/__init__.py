@@ -18,7 +18,6 @@ from .criticality import (
     alpha_critical_edges,
     alpha_critical_vertices,
     criticality_report,
-    mu_critical_edges,
 )
 from .errors import (
     CapacityError,
@@ -44,12 +43,9 @@ from .graph import (
     neighborhood,
     parse_edge_list,
     spans_forest,
-    two_coloring,
 )
 from .solvers import (
     DEFAULT_CAPS,
-    MatchingReport,
-    PerfectMatchingStatus,
     SolverCaps,
     StableSetReport,
     enumerate_maximum_matchings,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .criticality import alpha_critical_edges, mu_critical_edges
+from .criticality import alpha_critical_edges
 from .errors import InternalInvariantError, PreconditionError
 from .graph import (
     Edge,
@@ -31,6 +31,7 @@ from .solvers import (
     DEFAULT_CAPS,
     SolverCaps,
     enumerate_maximum_stable_sets,
+    forced_matching_edges,
     lex_min_maximum_stable_set,
     maximum_matching,
     memo,
@@ -136,7 +137,7 @@ class ParameterReport:
 
 def is_koenig_egervary(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> bool:
     """True iff alpha(g) + mu(g) = n(g)."""
-    return stability_number(g, caps) + maximum_matching(g).mu == g.n
+    return stability_number(g, caps) + maximum_matching(g).size == g.n
 
 
 def ke_decompose(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> KeDecomposition:
@@ -151,7 +152,7 @@ def ke_decompose(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> KeDecomposition:
     s = lex_min_maximum_stable_set(g, caps)
     s_set = set(s)
     h = tuple(v for v in range(g.n) if v not in s_set)
-    witness = maximum_matching(g).witness
+    witness = maximum_matching(g)
     for u, v in witness.edges:
         if (u in s_set) == (v in s_set):
             raise InternalInvariantError(f"maximum matching edge ({u}, {v}) is not a cut edge")
@@ -197,10 +198,10 @@ def s0_procedure(
             raise PreconditionError(f"matching edge {e} is not an edge of the graph")
     if len(pm.covered) != g0.n:
         raise PreconditionError("matching is not perfect")
-    status = perfect_matching_status(g0)
-    if status.count != 1:
-        raise PreconditionError(f"perfect matching count is {status.count}, need exactly 1")
-    if pm != status.witnesses[0]:
+    count = perfect_matching_status(g0)
+    if count != 1:
+        raise PreconditionError(f"perfect matching count is {count}, need exactly 1")
+    if pm != maximum_matching(g0):
         raise PreconditionError("supplied matching is not the unique perfect matching")
     if not is_stable(g0, a):
         raise PreconditionError("a_side is not stable")
@@ -249,7 +250,7 @@ def _counts(g: Graph, caps: SolverCaps) -> dict[str, int]:
     eta = len(alpha_critical_edges(g, caps))
     return dict(
         xi=stable.xi, eta=eta, sigma=stable.sigma, alpha=stable.alpha,
-        mu=maximum_matching(g).mu, n=g.n,
+        mu=maximum_matching(g).size, n=g.n,
     )
 
 
@@ -286,9 +287,9 @@ def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterRepo
         core=stable.core,
         anticore=stable.anticore,
         alpha_critical_edges=alpha_critical_edges(g, caps),
-        mu_critical_edges=mu_critical_edges(g),
+        mu_critical_edges=forced_matching_edges(g),
         g0_size=reduction.n,
-        g0_pm_status=perfect_matching_status(reduction).count,
+        g0_pm_status=perfect_matching_status(reduction),
         eq_alpha=eq_alpha,
         eq_mu=eq_mu,
         eq_n=eq_n,
@@ -303,7 +304,7 @@ def th2_evaluate(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> Th2Evaluation:
     reduction, _ = g_zero(g, caps)
     acrit0 = alpha_critical_edges(reduction, caps)
     return Th2Evaluation(
-        g0_unique_pm=perfect_matching_status(reduction).count == 1,
+        g0_unique_pm=perfect_matching_status(reduction) == 1,
         g0_critical_maximal=is_maximal_matching(reduction, acrit0),
         eq_alpha=eq_alpha,
         eq_mu=eq_mu,

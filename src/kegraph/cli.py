@@ -49,9 +49,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _caps(args: argparse.Namespace) -> SolverCaps:
-    if getattr(args, "max_n", None):
-        return DEFAULT_CAPS.raised_to(args.max_n)
-    return DEFAULT_CAPS
+    # raised_to(0) leaves every cap at its default.
+    if args.max_n < 0:
+        raise InputError(f"--max-n must be non-negative, got {args.max_n}")
+    return DEFAULT_CAPS.raised_to(args.max_n)
 
 
 def _parse_checks(raw: str) -> tuple[str, ...]:

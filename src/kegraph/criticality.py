@@ -46,11 +46,6 @@ def alpha_critical_edges(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Edg
     )
 
 
-def mu_critical_edges(g: Graph) -> tuple[Edge, ...]:
-    """Edges whose deletion lowers the matching number."""
-    return forced_matching_edges(g)
-
-
 def alpha_critical_vertices(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[int, ...]:
     """Vertices whose deletion lowers the stability number (equals the core).
 
@@ -70,6 +65,6 @@ def alpha_critical_vertices(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[
 def criticality_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> CriticalityReport:
     return CriticalityReport(
         alpha_critical_edges=alpha_critical_edges(g, caps),
-        mu_critical_edges=mu_critical_edges(g),
+        mu_critical_edges=forced_matching_edges(g),
         alpha_critical_vertices=alpha_critical_vertices(g, caps),
     )

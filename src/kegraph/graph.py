@@ -65,12 +65,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_set
-
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -189,11 +183,9 @@ def is_stable(g: Graph, s: Iterable[int]) -> bool:
     return all(not (members & set(g.adj[v])) for v in s)
 
 
-def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
-    # BFS coloring; returns (colors, BFS parents with -1 at each root, and the
-    # first same-color edge as (dequeued vertex, its neighbor) or None).
+def is_bipartite(g: Graph) -> bool:
+    """True iff g has a 0/1 vertex colouring with no monochromatic edge."""
     color = [-1] * g.n
-    parent = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
@@ -204,37 +196,10 @@ def _two_color(g: Graph) -> tuple[list[int], list[int], tuple[int, int] | None]:
             for v in g.adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return color, parent, (u, v)
-    return color, parent, None
-
-
-def is_bipartite(g: Graph) -> bool:
-    return _two_color(g)[2] is None
-
-
-def two_coloring(g: Graph) -> tuple[int, ...] | None:
-    """A 0/1 coloring with no monochromatic edge, or None if impossible."""
-    colors, _, conflict = _two_color(g)
-    return None if conflict is not None else tuple(colors)
-
-
-def odd_cycle_witness(g: Graph) -> tuple[int, ...] | None:
-    """Vertex sequence of an odd cycle, or None for bipartite g."""
-    _, parent, conflict = _two_color(g)
-    if conflict is None:
-        return None
-    # Walk both endpoints to their BFS root, strip the shared prefix.
-    path_u, path_v = [conflict[0]], [conflict[1]]
-    for path in (path_u, path_v):
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-    while len(path_u) > 1 and len(path_v) > 1 and path_u[-2] == path_v[-2]:
-        path_u.pop()
-        path_v.pop()
-    return tuple(path_u + path_v[-2::-1])
+                    return False
+    return True
 
 
 def spans_forest(g: Graph, w: Iterable[Edge]) -> bool:

@@ -27,7 +27,7 @@ from ..analysis import (
     is_koenig_egervary,
     th2_evaluate,
 )
-from ..criticality import alpha_critical_edges, mu_critical_edges
+from ..criticality import alpha_critical_edges
 from ..errors import CapacityError, InputError
 from ..graph import (
     Edge,
@@ -44,6 +44,7 @@ from ..solvers import (
     DEFAULT_CAPS,
     SolverCaps,
     enumerate_maximum_stable_sets,
+    forced_matching_edges,
     maximum_matching,
     perfect_matching_status,
     require_vertex_cap,
@@ -135,7 +136,7 @@ def _t1i(g: Graph, caps: SolverCaps) -> dict | None:
 
 @_register("T1ii", "alpha-critical edges of a KE graph are mu-critical", _KE)
 def _t1ii(g: Graph, caps: SolverCaps) -> dict | None:
-    mu_crit = set(mu_critical_edges(g))
+    mu_crit = set(forced_matching_edges(g))
     for e in alpha_critical_edges(g, caps):
         if e not in mu_crit:
             return dict(edge=list(e))
@@ -203,7 +204,7 @@ def _bhp(g: Graph, caps: SolverCaps) -> dict | None:
 @_register("P3", "alpha-critical and mu-critical edges of a bipartite graph coincide", _BIPARTITE)
 def _p3(g: Graph, caps: SolverCaps) -> dict | None:
     acrit = alpha_critical_edges(g, caps)
-    mcrit = mu_critical_edges(g)
+    mcrit = forced_matching_edges(g)
     if acrit != mcrit:
         return dict(alpha_critical=_edge_list(acrit), mu_critical=_edge_list(mcrit))
     return None
@@ -216,7 +217,7 @@ def _p3(g: Graph, caps: SolverCaps) -> dict | None:
     ("needs a tree with at least one edge", lambda g, caps: g.m > 0),
 )
 def _c4(g: Graph, caps: SolverCaps) -> dict | None:
-    has_pm = perfect_matching_status(g).count >= 1
+    has_pm = perfect_matching_status(g) >= 1
     crit_maximal = is_maximal_matching(g, alpha_critical_edges(g, caps))
     if has_pm != crit_maximal:
         return dict(has_pm=has_pm, critical_edges_maximal=crit_maximal)
@@ -227,14 +228,14 @@ def _c4(g: Graph, caps: SolverCaps) -> dict | None:
     "L1", "with a perfect matching, KE iff alpha = mu; KE implies mu <= alpha",
     (
         "no perfect matching and " + _NOT_KE,
-        lambda g, caps: perfect_matching_status(g).count >= 1 or is_koenig_egervary(g, caps),
+        lambda g, caps: perfect_matching_status(g) >= 1 or is_koenig_egervary(g, caps),
     ),
 )
 def _l1(g: Graph, caps: SolverCaps) -> dict | None:
     alpha = stability_number(g, caps)
-    mu = maximum_matching(g).mu
+    mu = maximum_matching(g).size
     ke = alpha + mu == g.n
-    has_pm = perfect_matching_status(g).count >= 1
+    has_pm = perfect_matching_status(g) >= 1
     if has_pm and (ke != (alpha == mu)):
         return dict(alpha=alpha, mu=mu, is_ke=ke)
     if ke and mu > alpha:
@@ -245,11 +246,11 @@ def _l1(g: Graph, caps: SolverCaps) -> dict | None:
 @_register(
     "C3", "a tree's perfect matching is all alpha-critical and 2*alpha = n",
     _TREE,
-    ("tree has no perfect matching", lambda g, caps: perfect_matching_status(g).count >= 1),
+    ("tree has no perfect matching", lambda g, caps: perfect_matching_status(g) >= 1),
 )
 def _c3(g: Graph, caps: SolverCaps) -> dict | None:
     crit = set(alpha_critical_edges(g, caps))
-    pm = perfect_matching_status(g).witnesses[0]
+    pm = maximum_matching(g)
     missing = [e for e in pm.edges if e not in crit]
     if missing or 2 * stability_number(g, caps) != g.n:
         return dict(non_critical_matching_edges=_edge_list(missing))
@@ -268,7 +269,7 @@ def _meets_each_in_one(g: Graph, caps: SolverCaps, edges: tuple[Edge, ...]) -> d
 
 @_register("P5i", "every maximum stable set of a KE graph meets each mu-critical edge once", _KE)
 def _p5i(g: Graph, caps: SolverCaps) -> dict | None:
-    return _meets_each_in_one(g, caps, mu_critical_edges(g))
+    return _meets_each_in_one(g, caps, forced_matching_edges(g))
 
 
 @_register("P5ii", "every maximum stable set of a KE graph meets each alpha-critical edge once", _KE)
@@ -284,9 +285,9 @@ def _p5iii(g: Graph, caps: SolverCaps) -> dict | None:
     crit = alpha_critical_edges(g, caps)
     if not is_maximal_matching(g, crit):
         return None  # vacuous: hypothesis not met
-    status = perfect_matching_status(g)
-    if status.count != 1 or status.witnesses[0].edges != crit:
-        return dict(pm_count=status.count, critical=_edge_list(crit))
+    count = perfect_matching_status(g)
+    if count != 1 or maximum_matching(g).edges != crit:
+        return dict(pm_count=count, critical=_edge_list(crit))
     return None
 
 
@@ -327,7 +328,7 @@ def _p9ii(g: Graph, caps: SolverCaps) -> dict | None:
 @_register("P9iii", "the core reduction of a KE graph has a perfect matching and stays KE", _KE)
 def _p9iii(g: Graph, caps: SolverCaps) -> dict | None:
     reduction, _ = g_zero(g, caps)
-    if perfect_matching_status(reduction).count < 1:
+    if perfect_matching_status(reduction) < 1:
         return dict(reduction_n=reduction.n, detail="no perfect matching")
     if not is_koenig_egervary(reduction, caps):
         return dict(reduction_n=reduction.n, detail="reduction not KE")
@@ -407,13 +408,13 @@ def _p10(g: Graph, caps: SolverCaps) -> dict | None:
     _KE,
     (
         "core reduction has no unique perfect matching",
-        lambda g, caps: perfect_matching_status(g_zero(g, caps)[0]).count == 1,
+        lambda g, caps: perfect_matching_status(g_zero(g, caps)[0]) == 1,
     ),
 )
 def _l3(g: Graph, caps: SolverCaps) -> dict | None:
     reduction, _ = g_zero(g, caps)
     acrit = alpha_critical_edges(reduction, caps)
-    mcrit = mu_critical_edges(reduction)
+    mcrit = forced_matching_edges(reduction)
     if acrit != mcrit:
         return dict(alpha_critical=_edge_list(acrit), mu_critical=_edge_list(mcrit))
     return None
@@ -434,10 +435,10 @@ def _c6(g: Graph, caps: SolverCaps) -> dict | None:
     crit = alpha_critical_edges(g, caps)
     eta = len(crit)
     flags = (
-        perfect_matching_status(g).count == 1,
+        perfect_matching_status(g) == 1,
         is_maximal_matching(g, crit),
         eta == alpha,
-        eta == maximum_matching(g).mu,
+        eta == maximum_matching(g).size,
         2 * eta == g.n,
     )
     if len(set(flags)) != 1:

@@ -79,24 +79,6 @@ class StableSetReport:
         return len(self.anticore)
 
 
-@dataclass(frozen=True)
-class PerfectMatchingStatus:
-    """Perfect-matching count saturated at 2, with up to two witnesses.
-
-    count is 0, 1, or 2 for two or more; witnesses holds `count` distinct
-    perfect matchings, and witnesses[0] is the blossom witness.
-    """
-
-    count: int
-    witnesses: tuple[Matching, ...]
-
-
-@dataclass(frozen=True)
-class MatchingReport:
-    mu: int
-    witness: Matching
-
-
 def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
     """Exact stability number of the subgraph induced by a vertex bitset.
 
@@ -279,8 +261,8 @@ def _blossom_augment(adj: Sequence[Sequence[int]], match: list[int], start: int)
 
 
 @memo
-def maximum_matching(g: Graph) -> MatchingReport:
-    """Maximum matching via the blossom algorithm; mu and witness only.
+def maximum_matching(g: Graph) -> Matching:
+    """A maximum matching via the blossom algorithm; mu is its `.size`.
 
     Vertices are scanned in increasing order over sorted adjacency, so the
     witness is a pure function of the graph.
@@ -298,38 +280,28 @@ def maximum_matching(g: Graph) -> MatchingReport:
     for u in range(n):
         if match[u] == -1:
             _blossom_augment(adj, match, u)
-    witness = _as_matching(match)
-    return MatchingReport(mu=witness.size, witness=witness)
-
-
-def _as_matching(match: list[int]) -> Matching:
     return Matching(tuple((u, w) for u, w in enumerate(match) if w > u))
 
 
 @memo
-def perfect_matching_status(g: Graph) -> PerfectMatchingStatus:
-    """Count perfect matchings with saturation at 2 plus up to two witnesses.
+def perfect_matching_status(g: Graph) -> int:
+    """The number of perfect matchings, saturated at 2: 0, 1, or 2 for two or more.
 
-    With M the blossom witness: the count is 0 if M is not perfect. Otherwise
-    any other perfect matching misses an edge of M, so the count is 1 iff
-    every edge of M is forced (`forced_matching_edges`), and 2 if not.
-    `witnesses[0]` is M; with count 2, `witnesses[1]` is the perfect matching
-    found by augmenting M minus its first non-forced edge. The empty graph
-    reports exactly one perfect matching (the empty one).
+    With M the blossom witness `maximum_matching(g)`: the count is 0 if M is
+    not perfect. Otherwise any other perfect matching misses an edge of M, so
+    the count is 1 iff every edge of M is forced (`forced_matching_edges`),
+    and 2 if not. The empty graph has exactly one perfect matching (the empty
+    one).
     """
-    witness = maximum_matching(g).witness
+    witness = maximum_matching(g)
     if 2 * witness.size < g.n:
-        return PerfectMatchingStatus(0, ())
-    forced = forced_matching_edges(g)
-    if forced == witness.edges:
-        return PerfectMatchingStatus(1, (witness,))
-    free = next(e for e in witness.edges if e not in forced)
-    return PerfectMatchingStatus(2, (witness, _as_matching(_augmented_without(g, witness, free))))
+        return 0
+    return 1 if forced_matching_edges(g) == witness.edges else 2
 
 
 def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Matching, ...]:
     """All maximum matchings, in canonical order; CapacityError beyond `caps.matchings`."""
-    mu = maximum_matching(g).mu
+    mu = maximum_matching(g).size
     masks = g.adjacency_masks
     found: list[tuple[Edge, ...]] = []
     chosen: list[Edge] = []
@@ -362,10 +334,9 @@ def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tu
     return tuple(Matching(m) for m in sorted(found))
 
 
-def _augmented_without(g: Graph, witness: Matching, e: Edge) -> list[int] | None:
-    # The maximum matching `witness` minus its edge e, augmented once in
-    # g - e, as a mate array; None if it has no augmenting path there. Any
-    # such path ends at an endpoint of e.
+def _augments_without(g: Graph, witness: Matching, e: Edge) -> bool:
+    # True iff the maximum matching `witness` minus its edge e has an
+    # augmenting path in g - e. Any such path ends at an endpoint of e.
     u, v = e
     adj = list(g.adj)
     adj[u] = tuple(w for w in adj[u] if w != v)
@@ -375,9 +346,7 @@ def _augmented_without(g: Graph, witness: Matching, e: Edge) -> list[int] | None
         match[a] = b
         match[b] = a
     match[u] = match[v] = -1
-    if _blossom_augment(adj, match, u) or _blossom_augment(adj, match, v):
-        return match
-    return None
+    return _blossom_augment(adj, match, u) or _blossom_augment(adj, match, v)
 
 
 @memo
@@ -389,5 +358,5 @@ def forced_matching_edges(g: Graph) -> tuple[Edge, ...]:
     (Berge), and since M is maximum every such path ends at u or v; so uv is
     forced iff one augmenting-path search from u and one from v both fail.
     """
-    witness = maximum_matching(g).witness
-    return tuple(e for e in witness.edges if _augmented_without(g, witness, e) is None)
+    witness = maximum_matching(g)
+    return tuple(e for e in witness.edges if not _augments_without(g, witness, e))

@@ -11,9 +11,8 @@ import time
 
 import oracles
 from kegraph import (
-    enumerate_maximum_matchings,
+    forced_matching_edges,
     maximum_matching,
-    mu_critical_edges,
     parameter_report,
     perfect_matching_status,
     s0_procedure,
@@ -40,9 +39,8 @@ def test_criterion_01_k3_plus_e_exactness():
     r = parameter_report(g)
     assert (r.n, r.m, r.alpha, r.mu, r.xi, r.sigma, r.eta) == (4, 4, 2, 2, 1, 1, 1)
     assert r.is_ke
-    status = perfect_matching_status(g)
-    assert status.count == 1
-    assert r.mu_critical_edges == status.witnesses[0].edges
+    assert perfect_matching_status(g) == 1
+    assert r.mu_critical_edges == maximum_matching(g).edges
     assert len(r.mu_critical_edges) == 2
     # alpha-critical is a proper subset: the matching edge (0, 3) is not critical.
     assert set(r.alpha_critical_edges) < set(r.mu_critical_edges)
@@ -72,14 +70,14 @@ def test_criterion_02_w1_exactness():
 def test_criterion_03_fig7_s0_procedure():
     start = time.perf_counter()
     g = fixtures()["fig7_g0"].graph
-    status = perfect_matching_status(g)
-    assert status.count == 1
+    assert perfect_matching_status(g) == 1
+    pm = maximum_matching(g)
     r = parameter_report(g)
     assert r.xi == 0
-    trace = s0_procedure(g, status.witnesses[0], a_side=(0, 1, 2, 3, 4), b1=5)
+    trace = s0_procedure(g, pm, a_side=(0, 1, 2, 3, 4), b1=5)
     assert trace.s0 == (4, 5, 6, 7, 8)  # {b1, b2, b3, b4, a5}
     assert [s for s, _ in trace.steps] == [(5,), (5, 6, 7), (5, 6, 7, 8)]
-    assert set(status.witnesses[0].edges) <= set(r.alpha_critical_edges)
+    assert set(pm.edges) <= set(r.alpha_critical_edges)
     assert r.eta == 5
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -137,11 +135,11 @@ def test_criterion_08_oracle_equivalence():
         n = 2 + i % 9  # 2..10
         p = (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5]
         g = generate(GeneratorConfig("gnp", n, p=p, seed=90000 + i))
-        assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
+        assert maximum_matching(g).size == oracles.maximum_matching_bruteforce(g)
         shared = set(g.edges)
-        for m in enumerate_maximum_matchings(g):
-            shared &= set(m.edges)
-        assert set(mu_critical_edges(g)) == shared
+        for m in oracles.maximum_matchings_bf(g):
+            shared &= set(m)
+        assert set(forced_matching_edges(g)) == shared
         checked += 1
     assert checked == 500
     _announce(8, "blossom == brute force and mu-critical == matching intersection, 500 graphs")

@@ -8,7 +8,6 @@ from kegraph import (
     InternalInvariantError,
     Matching,
     PreconditionError,
-    enumerate_maximum_matchings,
     enumerate_maximum_stable_sets,
     forest_condition,
     from_edge_list,
@@ -16,8 +15,8 @@ from kegraph import (
     is_koenig_egervary,
     is_stable,
     ke_decompose,
+    maximum_matching,
     parameter_report,
-    perfect_matching_status,
     s0_procedure,
     spans_forest,
     stability_number,
@@ -85,10 +84,10 @@ class TestDecomposition:
     def test_every_maximum_matching_inside_every_cut(self):
         for g in ke_samples(30, 9, base_seed=90):
             omega = enumerate_maximum_stable_sets(g).omega
-            for m in enumerate_maximum_matchings(g):
+            for m in oracles.maximum_matchings_bf(g):
                 for s in omega:
                     members = set(s)
-                    assert all((u in members) != (v in members) for u, v in m.edges)
+                    assert all((u in members) != (v in members) for u, v in m)
 
 
 class TestGZero:
@@ -128,7 +127,7 @@ class TestS0Procedure:
 
     def test_fig7_full_trace(self):
         g = fixtures()["fig7_g0"].graph
-        pm = perfect_matching_status(g).witnesses[0]
+        pm = maximum_matching(g)
         trace = s0_procedure(g, pm, a_side=(0, 1, 2, 3, 4), b1=5)
         assert trace.s0 == (4, 5, 6, 7, 8)
         assert [s for s, _ in trace.steps] == [(5,), (5, 6, 7), (5, 6, 7, 8)]
@@ -137,7 +136,7 @@ class TestS0Procedure:
 
     def test_every_b_start_gives_maximum_stable_set(self):
         g = fixtures()["fig7_g0"].graph
-        pm = perfect_matching_status(g).witnesses[0]
+        pm = maximum_matching(g)
         for b in (5, 6, 7, 8, 9):
             trace = s0_procedure(g, pm, a_side=(0, 1, 2, 3, 4), b1=b)
             assert b in trace.s0
@@ -155,14 +154,14 @@ class TestS0Procedure:
 
     def test_precondition_unstable_a_side(self):
         g = fixtures()["fig2_ke"].graph
-        pm = perfect_matching_status(g).witnesses[0]
+        pm = maximum_matching(g)
         # (1, 3, 5) is an endpoint class of the matching but 1-5 is an edge.
         with pytest.raises(PreconditionError):
             s0_procedure(g, pm, a_side=(1, 3, 5), b1=0)
 
     def test_precondition_b1_inside_a_side(self):
         g = fixtures()["fig7_g0"].graph
-        pm = perfect_matching_status(g).witnesses[0]
+        pm = maximum_matching(g)
         with pytest.raises(PreconditionError):
             s0_procedure(g, pm, a_side=(0, 1, 2, 3, 4), b1=0)
 

@@ -94,6 +94,13 @@ class TestCritical:
         assert payload["eta"] == 3
         assert payload["alpha_critical_edges"] == [[2, 3], [2, 5], [3, 5]]
 
+    def test_max_n_zero_keeps_defaults_and_negative_exits_2(self, capsys):
+        _, default, _ = run(capsys, "critical", "--fixture", "w1")
+        assert run(capsys, "critical", "--fixture", "w1", "--max-n", "0") == (0, default, "")
+        code, out, err = run(capsys, "critical", "--fixture", "w1", "--max-n", "-3")
+        assert code == 2 and out == ""
+        assert "--max-n must be non-negative, got -3" in err
+
 
 class TestDecompose:
     def test_ke_graph(self, capsys):
@@ -202,6 +209,11 @@ class TestFuzzCommand:
         )
         assert code == 2 and out == ""
         assert "'C1' is listed more than once" in err
+
+    def test_negative_max_n_exits_2(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--max-n", "-1")
+        assert code == 2 and out == ""
+        assert "--max-n must be non-negative, got -1" in err
 
 
 class TestFixturesCommand:

@@ -17,7 +17,6 @@ from kegraph import (
     from_edge_list,
     is_koenig_egervary,
     maximum_matching,
-    mu_critical_edges,
     perfect_matching_status,
     stability_number,
 )
@@ -39,7 +38,7 @@ def alpha_critical_edges_via_matching(g: Graph) -> tuple[Edge, ...]:
     agrees with the package's definition route on such inputs.
     """
     alpha = stability_number(g)
-    if alpha + maximum_matching(g).mu != g.n:
+    if alpha + maximum_matching(g).size != g.n:
         raise PreconditionError("fast path requires a König-Egerváry graph")
     return tuple(e for e in forced_matching_edges(g) if stability_number(delete_edge(g, e)) > alpha)
 
@@ -55,8 +54,8 @@ def alpha_critical_vertices_by_deletion(g: Graph) -> tuple[int, ...]:
 
 
 def forced_matching_edges_by_deletion(g: Graph) -> tuple[Edge, ...]:
-    mu = maximum_matching(g).mu
-    return tuple(e for e in g.edges if maximum_matching(delete_edge(g, e)).mu < mu)
+    mu = maximum_matching(g).size
+    return tuple(e for e in g.edges if maximum_matching(delete_edge(g, e)).size < mu)
 
 
 def mid_size_corpus() -> list[Graph]:
@@ -106,21 +105,20 @@ class TestAlphaCriticalEdges:
 class TestMuCriticalEdges:
     def test_k3_none(self):
         k3 = generate(GeneratorConfig("complete", 3))
-        assert mu_critical_edges(k3) == ()
+        assert forced_matching_edges(k3) == ()
         assert alpha_critical_edges(k3) == k3.edges  # alpha-critical but not mu-critical
 
     def test_k3_plus_e(self):
-        assert mu_critical_edges(fixtures()["k3_plus_e"].graph) == ((0, 3), (1, 2))
+        assert forced_matching_edges(fixtures()["k3_plus_e"].graph) == ((0, 3), (1, 2))
 
     def test_fig2_equal_sets(self):
         g = fixtures()["fig2_ke"].graph
-        pm = perfect_matching_status(g)
-        assert pm.count == 1
-        assert mu_critical_edges(g) == pm.witnesses[0].edges == alpha_critical_edges(g)
+        assert perfect_matching_status(g) == 1
+        assert forced_matching_edges(g) == maximum_matching(g).edges == alpha_critical_edges(g)
 
     def test_against_oracle(self):
         for g in corpus(80, 10, base_seed=1100):
-            assert mu_critical_edges(g) == oracles.mu_critical_edges_bf(g)
+            assert forced_matching_edges(g) == oracles.mu_critical_edges_bf(g)
 
 
 class TestAlphaCriticalVertices:
@@ -176,7 +174,7 @@ class TestReport:
     def test_bipartite_sets_coincide(self):
         for seed in range(40):
             g = generate(GeneratorConfig("bipartite", 4, n2=4, p=0.45, seed=seed))
-            assert alpha_critical_edges(g) == mu_critical_edges(g)
+            assert alpha_critical_edges(g) == forced_matching_edges(g)
 
     def test_empty_graph(self):
         report = criticality_report(Graph(0, ()))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 
@@ -68,11 +70,11 @@ class TestStabilityNumber:
             n1 = rng.randint(total // 3, total - total // 3)
             p = (0.15, 0.25, 0.3, 0.4)[i % 4]
             g = generate(GeneratorConfig("bipartite", n1, n2=total - n1, p=p, seed=4600 + i))
-            assert stability_number(g) == g.n - maximum_matching(g).mu
+            assert stability_number(g) == g.n - maximum_matching(g).size
             for _ in range(4):
                 mask = rng.getrandbits(g.n)
                 sub, _ = delete_vertices(g, [v for v in range(g.n) if not (mask >> v) & 1])
-                assert _alpha_of_mask(g.adjacency_masks, mask) == mask.bit_count() - maximum_matching(sub).mu
+                assert _alpha_of_mask(g.adjacency_masks, mask) == mask.bit_count() - maximum_matching(sub).size
 
     def test_lex_min_set(self):
         for g in corpus(40, 10, base_seed=500):
@@ -170,35 +172,33 @@ class TestOmegaEnumeration:
 
 class TestMaximumMatching:
     def test_small_fixed_values(self):
-        assert maximum_matching(from_edge_list(2, [(0, 1)])).mu == 1
-        assert maximum_matching(fixtures()["w1"].graph).mu == 2
-        assert maximum_matching(generate(GeneratorConfig("cycle", 6))).mu == 3
+        assert maximum_matching(from_edge_list(2, [(0, 1)])).size == 1
+        assert maximum_matching(fixtures()["w1"].graph).size == 2
+        assert maximum_matching(generate(GeneratorConfig("cycle", 6))).size == 3
 
     def test_witness_is_valid_matching_of_graph(self):
         for g in corpus(60, 10, base_seed=200):
-            report = maximum_matching(g)
-            assert report.witness.size == report.mu
-            assert all(e in g.edge_set for e in report.witness.edges)
+            assert set(maximum_matching(g).edges) <= g.edge_set
 
     def test_deterministic_witness(self):
         for seed in range(10):
             g = gnp(seed, 11, 0.5)
             again = Graph(g.n, g.edges)
-            assert maximum_matching(g).witness == maximum_matching(again).witness
+            assert maximum_matching(g) == maximum_matching(again)
 
     def test_agrees_with_bruteforce_small(self):
         for g in corpus(120, 10, base_seed=300):
-            assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
+            assert maximum_matching(g).size == oracles.maximum_matching_bruteforce(g)
 
     def test_petersen_size_samples(self):
         for seed in range(30):
             g = gnp(seed, 10, 0.3)
-            assert maximum_matching(g).mu == oracles.maximum_matching_bruteforce(g)
+            assert maximum_matching(g).size == oracles.maximum_matching_bruteforce(g)
 
     def test_odd_components_and_blossoms(self):
         # Two triangles joined by a bridge force blossom contraction.
         g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-        assert maximum_matching(g).mu == 3
+        assert maximum_matching(g).size == 3
 
     def test_bruteforce_cap_and_empty(self):
         assert oracles.maximum_matching_bruteforce(Graph(3, ())) == 0
@@ -207,46 +207,41 @@ class TestMaximumMatching:
 
     def test_mu_at_most_half_n(self):
         for g in corpus(60, 12, base_seed=400):
-            assert 2 * maximum_matching(g).mu <= g.n
+            assert 2 * maximum_matching(g).size <= g.n
 
 
-def assert_sound(g: Graph, status) -> None:
-    # Each witness is a perfect matching of g, and two witnesses differ.
-    assert len(status.witnesses) == status.count
-    for m in status.witnesses:
-        assert 2 * m.size == g.n and set(m.edges) <= g.edge_set
-    if status.count == 2:
-        assert status.witnesses[0] != status.witnesses[1]
+def assert_sound(g: Graph, count: int) -> None:
+    # The blossom witness is a matching of g, and it is perfect iff g has one.
+    m = maximum_matching(g)
+    assert set(m.edges) <= g.edge_set
+    assert (2 * m.size == g.n) == (count >= 1)
 
 
 class TestPerfectMatchingStatus:
     def test_paths_and_cycles(self):
-        assert perfect_matching_status(generate(GeneratorConfig("path", 4))).count == 1
-        c4 = generate(GeneratorConfig("cycle", 4))
-        status = perfect_matching_status(c4)
-        assert status.count == 2 and len(status.witnesses) == 2
-        assert status.witnesses[0] != status.witnesses[1]
+        assert perfect_matching_status(generate(GeneratorConfig("path", 4))) == 1
+        assert perfect_matching_status(generate(GeneratorConfig("cycle", 4))) == 2
 
     def test_k3_plus_e_unique(self):
-        status = perfect_matching_status(fixtures()["k3_plus_e"].graph)
-        assert status.count == 1
-        assert status.witnesses[0] == Matching(((0, 3), (1, 2)))
+        g = fixtures()["k3_plus_e"].graph
+        assert perfect_matching_status(g) == 1
+        assert maximum_matching(g) == Matching(((0, 3), (1, 2)))
 
     def test_fig7_unique(self):
-        assert perfect_matching_status(fixtures()["fig7_g0"].graph).count == 1
+        assert perfect_matching_status(fixtures()["fig7_g0"].graph) == 1
 
     def test_empty_graph_counts_one(self):
-        assert perfect_matching_status(Graph(0, ())).count == 1
+        assert perfect_matching_status(Graph(0, ())) == 1
 
     def test_odd_or_isolated_is_zero(self):
-        assert perfect_matching_status(Graph(3, ())).count == 0
+        assert perfect_matching_status(Graph(3, ())) == 0
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-        assert perfect_matching_status(star).count == 0
+        assert perfect_matching_status(star) == 0
 
     def test_count_matches_oracle_saturated(self):
         for g in corpus(80, 10, base_seed=600):
             expected = min(oracles.perfect_matching_count_bf(g), 2)
-            assert perfect_matching_status(g).count == expected
+            assert perfect_matching_status(g) == expected
 
     def test_forests_against_tree_dp(self):
         # A forest has at most one perfect matching, and forests are KE, so
@@ -255,17 +250,17 @@ class TestPerfectMatchingStatus:
         for n in range(1, 41):
             tree = generate(GeneratorConfig("tree", n, seed=4700 + n))
             for g in (tree, random_forest(rng, n)):
-                status = perfect_matching_status(g)
-                assert status.count == (1 if 2 * oracles.alpha_tree_dp(g) == n else 0)
-                assert_sound(g, status)
+                count = perfect_matching_status(g)
+                assert count == (1 if 2 * oracles.alpha_tree_dp(g) == n else 0)
+                assert_sound(g, count)
 
     def test_two_cliques_none_iff_odd(self):
         for k in range(3, 20):
             clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
             g = from_edge_list(2 * k, clique + [(u + k, v + k) for u, v in clique])
-            status = perfect_matching_status(g)
-            assert status.count == (0 if k % 2 else 2)
-            assert_sound(g, status)
+            count = perfect_matching_status(g)
+            assert count == (0 if k % 2 else 2)
+            assert_sound(g, count)
 
     def test_paths_cycles_cliques_up_to_forty(self):
         for n in range(2, 41, 2):
@@ -274,16 +269,15 @@ class TestPerfectMatchingStatus:
                 if n < 4 and kind == "cycle":
                     continue
                 g = generate(GeneratorConfig(kind, n))
-                status = perfect_matching_status(g)
-                assert status.count == count
-                assert_sound(g, status)
+                assert perfect_matching_status(g) == count
+                assert_sound(g, count)
 
     def test_sparse_gnp_eleven_to_fourteen(self):
         for i in range(32):
             g = gnp(4800 + i, 11 + i % 4, (0.2, 0.25, 0.3)[i % 3])
-            status = perfect_matching_status(g)
-            assert status.count == min(oracles.perfect_matching_count_bf(g), 2)
-            assert_sound(g, status)
+            count = perfect_matching_status(g)
+            assert count == min(oracles.perfect_matching_count_bf(g), 2)
+            assert_sound(g, count)
 
 
 class TestForcedEdges:
@@ -307,8 +301,8 @@ class TestForcedEdges:
                 cfg = GeneratorConfig(kind, n1, n2=n - n1, p=0.3, seed=4900 + n)
                 g = generate(cfg)
                 shared = set(g.edges)
-                for m in enumerate_maximum_matchings(g):
-                    shared &= set(m.edges)
+                for m in oracles.maximum_matchings_bf(g):
+                    shared &= set(m)
                 assert forced_matching_edges(g) == tuple(sorted(shared))
 
     def test_matches_oracle_at_eleven_and_twelve(self):
@@ -318,9 +312,8 @@ class TestForcedEdges:
 
     def test_unique_pm_forces_exactly_its_edges(self):
         for g in corpus(120, 10, base_seed=800):
-            status = perfect_matching_status(g)
-            if status.count == 1:
-                assert forced_matching_edges(g) == status.witnesses[0].edges
+            if perfect_matching_status(g) == 1:
+                assert forced_matching_edges(g) == maximum_matching(g).edges
 
 
 class TestMatchingEnumeration:
@@ -348,6 +341,27 @@ class TestSolverCaps:
                     assert params["caps"].default is DEFAULT_CAPS, name
                     checked += 1
         assert checked >= 10
+
+    def test_every_public_function_and_method_is_read_in_src(self):
+        # A public name that only tests read is surface to delete, not to keep.
+        allowed = {
+            "s0_procedure": "the paper's construction, walked by acceptance criterion 03",
+            "enumerate_maximum_matchings": "a traced layer of the benchmark; it goes with the benchmark's names",
+        }
+        package = Path(kegraph.__file__).parent
+        trees = [ast.parse(p.read_text()) for p in sorted(package.rglob("*.py")) if p.name != "__init__.py"]
+        nodes = [node for tree in trees for node in ast.walk(tree)]
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        top = [node for tree in trees for node in tree.body]
+        functions = {node.name for node in top if isinstance(node, ast.FunctionDef)}
+        methods = {
+            item.name
+            for node in top if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        unread = (functions - names - attributes) | (methods - attributes)
+        assert {x for x in unread if not x.startswith("_")} == set(allowed)
 
     def test_raised_caps_keep_alpha_at_least_omega_vertices(self):
         for caps in (DEFAULT_CAPS, DEFAULT_CAPS.raised_to(12), DEFAULT_CAPS.raised_to(33)):
