@@ -4,7 +4,6 @@ from .analysis import (
     KeDecomposition,
     ParameterReport,
     S0Trace,
-    Th2Evaluation,
     forest_condition,
     g_zero,
     is_koenig_egervary,

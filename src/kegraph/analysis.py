@@ -69,25 +69,6 @@ class S0Trace:
 
 
 @dataclass(frozen=True)
-class Th2Evaluation:
-    """The five equivalent statements, evaluated independently."""
-
-    g0_unique_pm: bool
-    g0_critical_maximal: bool
-    eq_alpha: bool
-    eq_mu: bool
-    eq_n: bool
-
-    @property
-    def flags(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (self.g0_unique_pm, self.g0_critical_maximal, self.eq_alpha, self.eq_mu, self.eq_n)
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.flags)) == 1
-
-
-@dataclass(frozen=True)
 class ParameterReport:
     n: int
     m: int
@@ -296,20 +277,21 @@ def parameter_report(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> ParameterRepo
     )
 
 
-def th2_evaluate(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> Th2Evaluation:
-    """Evaluate the five-way equivalence on a KE graph, each clause independently."""
+def th2_evaluate(
+    g: Graph, caps: SolverCaps = DEFAULT_CAPS
+) -> tuple[bool, bool, bool, bool, bool]:
+    """The five clauses of the equivalence on a KE graph, each evaluated on its own.
+
+    In order: G0 has a unique perfect matching; the alpha-critical edges of G0
+    form a maximal matching; xi + eta = alpha; sigma + eta = mu; and
+    xi + 2*eta + sigma = n. The theorem says all five agree.
+    """
     if not is_koenig_egervary(g, caps):
         raise PreconditionError("not a König-Egerváry graph")
-    eq_alpha, eq_mu, eq_n = _count_equalities(_counts(g, caps))
+    equalities = _count_equalities(_counts(g, caps))
     reduction, _ = g_zero(g, caps)
-    acrit0 = alpha_critical_edges(reduction, caps)
-    return Th2Evaluation(
-        g0_unique_pm=perfect_matching_status(reduction) == 1,
-        g0_critical_maximal=is_maximal_matching(reduction, acrit0),
-        eq_alpha=eq_alpha,
-        eq_mu=eq_mu,
-        eq_n=eq_n,
-    )
+    critical = alpha_critical_edges(reduction, caps)
+    return (perfect_matching_status(reduction) == 1, is_maximal_matching(reduction, critical), *equalities)
 
 
 def forest_condition(

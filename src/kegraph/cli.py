@@ -66,8 +66,13 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     return ids
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(payload, fmt: str = "json") -> None:
+    """Print a report payload as indented JSON, or as one `key = value` line per key."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for key, value in payload.items():
+            print(f"{key} = {value}")
 
 
 def _to_dot(g: Graph, report) -> str:
@@ -93,41 +98,22 @@ def _to_dot(g: Graph, report) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = parameter_report(g, _caps(args))
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    elif args.format == "dot":
+    if args.format == "dot":
         print(_to_dot(g, report), end="")
     else:
-        for key, value in report.to_dict().items():
-            print(f"{key} = {value}")
+        _emit(report.to_dict(), args.format)
     return 0
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    report = criticality_report(g, _caps(args))
-    payload = {
-        "alpha_critical_edges": [list(e) for e in report.alpha_critical_edges],
-        "eta": report.eta,
-        "mu_critical_edges": [list(e) for e in report.mu_critical_edges],
-        "alpha_critical_vertices": list(report.alpha_critical_vertices),
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {value}")
+    _emit(criticality_report(g, _caps(args)).to_dict(), args.format)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    decomposition = ke_decompose(g, _caps(args))
-    if args.format == "json":
-        _emit_json(decomposition.to_dict())
-    else:
-        for key, value in decomposition.to_dict().items():
-            print(f"{key} = {value}")
+    _emit(ke_decompose(g, _caps(args)).to_dict(), args.format)
     return 0
 
 
@@ -137,7 +123,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = _parse_checks(args.checks)
     verdicts = [check(g, cid, caps) for cid in ids]
     if args.format == "json":
-        _emit_json([v.to_dict() for v in verdicts])
+        _emit([v.to_dict() for v in verdicts])
     else:
         for v in verdicts:
             line = f"{v.check_id}: {v.status}"
@@ -154,7 +140,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         kind=_GEN_KIND[args.gen], n=args.n, n2=args.n2, p=args.p, seed=args.seed
     )
     summary = fuzz(cfg, args.trials, _parse_checks(args.checks), _caps(args))
-    _emit_json(summary.to_dict())
+    _emit(summary.to_dict())
     return 1 if summary.total_failures else 0
 
 

@@ -26,6 +26,14 @@ class CriticalityReport:
     def eta(self) -> int:
         return len(self.alpha_critical_edges)
 
+    def to_dict(self) -> dict:
+        return {
+            "alpha_critical_edges": [list(e) for e in self.alpha_critical_edges],
+            "eta": self.eta,
+            "mu_critical_edges": [list(e) for e in self.mu_critical_edges],
+            "alpha_critical_vertices": list(self.alpha_critical_vertices),
+        }
+
 
 @memo
 def alpha_critical_edges(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Edge, ...]:

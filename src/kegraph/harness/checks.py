@@ -403,28 +403,22 @@ def _p10(g: Graph, caps: SolverCaps) -> dict | None:
     return None
 
 
-@_register(
+# L3 is P3's statement on the core reduction G0.
+_register(
     "L3", "unique-PM core reductions have alpha-critical = mu-critical edge sets",
     _KE,
     (
         "core reduction has no unique perfect matching",
         lambda g, caps: perfect_matching_status(g_zero(g, caps)[0]) == 1,
     ),
-)
-def _l3(g: Graph, caps: SolverCaps) -> dict | None:
-    reduction, _ = g_zero(g, caps)
-    acrit = alpha_critical_edges(reduction, caps)
-    mcrit = forced_matching_edges(reduction)
-    if acrit != mcrit:
-        return dict(alpha_critical=_edge_list(acrit), mu_critical=_edge_list(mcrit))
-    return None
+)(lambda g, caps: _p3(g_zero(g, caps)[0], caps))
 
 
 @_register("T2", "the five-way equivalence is internally consistent on KE graphs", _KE)
 def _t2(g: Graph, caps: SolverCaps) -> dict | None:
-    ev = th2_evaluate(g, caps)
-    if not ev.consistent:
-        return dict(flags=list(ev.flags))
+    flags = th2_evaluate(g, caps)
+    if len(set(flags)) != 1:
+        return dict(flags=list(flags))
     return None
 
 

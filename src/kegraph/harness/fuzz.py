@@ -20,18 +20,6 @@ from .generators import MIN_N, GeneratorConfig, generate
 
 P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-# Per-trial size lower bounds; single-vertex graphs make almost every check
-# vacuous, so trials start at 2 except where a kind allows smaller sides.
-FUZZ_MIN_N = {
-    "tree": 2,
-    "bipartite": 1,
-    "ke_synth": 2,
-    "gnp": 2,
-    "cycle": 3,
-    "path": 2,
-    "complete": 2,
-}
-
 _MASK63 = (1 << 63) - 1
 
 
@@ -41,7 +29,6 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 @dataclass
 class FuzzSummary:
-    seed: int
     cfg: GeneratorConfig
     trials: int
     counts: dict[str, dict[str, int]]
@@ -53,7 +40,7 @@ class FuzzSummary:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
+            "seed": self.cfg.seed,
             "cfg": self.cfg.to_dict(),
             "trials": self.trials,
             "per_check": {cid: dict(c) for cid, c in self.counts.items()},
@@ -81,7 +68,10 @@ def shrink_failure(g: Graph, check_id: str, caps: SolverCaps = DEFAULT_CAPS) -> 
 
 def _trial_config(cfg: GeneratorConfig, trial: int) -> GeneratorConfig:
     rng = random.Random(_trial_seed(cfg.seed, trial))
-    n = rng.randint(min(FUZZ_MIN_N[cfg.kind], cfg.n), cfg.n)
+    # Single-vertex graphs make almost every check vacuous, so trials start at
+    # 2 vertices; a bipartite n counts one side only, so it keeps its minimum.
+    low = MIN_N[cfg.kind] if cfg.kind == "bipartite" else max(2, MIN_N[cfg.kind])
+    n = rng.randint(min(low, cfg.n), cfg.n)
     n2 = rng.randint(1, cfg.n2) if cfg.kind == "bipartite" and cfg.n2 > 0 else cfg.n2
     p = cfg.p
     if p is None and cfg.kind in ("gnp", "bipartite", "ke_synth"):
@@ -105,7 +95,7 @@ def fuzz(
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    if cfg.kind not in FUZZ_MIN_N:
+    if cfg.kind not in MIN_N:
         raise InputError(f"unknown generator kind {cfg.kind!r}")
     if cfg.n < MIN_N[cfg.kind]:
         raise InputError(f"{cfg.kind} campaigns need n >= {MIN_N[cfg.kind]}")
@@ -133,4 +123,4 @@ def fuzz(
                         if key != "graph":
                             entry[key] = value
                 witnesses.append(entry)
-    return FuzzSummary(seed=cfg.seed, cfg=cfg, trials=trials, counts=counts, witnesses=witnesses)
+    return FuzzSummary(cfg=cfg, trials=trials, counts=counts, witnesses=witnesses)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..analysis import is_koenig_egervary
 from ..errors import InputError, InternalInvariantError
@@ -106,11 +106,12 @@ def _ke_synth(rng: random.Random, n: int, p: float) -> Graph:
                 continue
             a = min(v for v in comp if v < s_size)
             edges.append((a, rng.choice(anchor_h)))
-        g = from_edge_list(n, edges)
     perm = list(range(n))
     rng.shuffle(perm)
-    g = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges])
-    if not is_koenig_egervary(g, DEFAULT_CAPS.raised_to(n)):
+    g = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+    # Only the alpha search runs here; the other caps stay at their defaults so
+    # that the checks reuse this stability number from the cache.
+    if not is_koenig_egervary(g, replace(DEFAULT_CAPS, alpha=max(DEFAULT_CAPS.alpha, n))):
         raise InternalInvariantError("synthesized graph is not König-Egerváry")
     return g
 
@@ -121,6 +122,8 @@ def generate(cfg: GeneratorConfig) -> Graph:
         raise InputError(f"unknown generator kind {cfg.kind!r}")
     if cfg.n < MIN_N[cfg.kind]:
         raise InputError(f"{cfg.kind} generator needs n >= {MIN_N[cfg.kind]}")
+    if cfg.n2 < 0:
+        raise InputError(f"n2 must be non-negative, got {cfg.n2}")
     if cfg.p is not None and not 0.0 <= cfg.p <= 1.0:
         raise InputError(f"p={cfg.p} outside [0, 1]")
     rng = random.Random(cfg.seed)

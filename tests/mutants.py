@@ -1,0 +1,138 @@
+"""Mutant catalog: deliberate faults that named tests must catch.
+
+    python tests/mutants.py
+
+Each mutant names a file, a snippet that must occur in it exactly once, the
+replacement, and the test ids that must fail. The runner copies `src/`,
+`tests/` and `pyproject.toml` into a temporary directory, first runs the union
+of the listed tests there unchanged (they must pass), then applies each mutant
+to a fresh copy and runs its tests with `pytest -x`. It exits 1 if a mutant
+survives, if an entry is stale (its snippet does not occur exactly once), or
+if the unchanged tests fail. The file is not named `test_*`, so the tier-1
+suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "edge-rule-1-plus", "src/kegraph/criticality.py",
+        "if 2 + _alpha_of_mask(masks, full & ~(masks[u]",
+        "if 1 + _alpha_of_mask(masks, full & ~(masks[u]",
+        ("tests/test_criticality.py::TestAlphaCriticalEdges::test_against_oracle",),
+    ),
+    Mutant(
+        "pendant-rule-degree-2", "src/kegraph/solvers.py",
+        "if d <= 1 and low_v < 0:",
+        "if d <= 2 and low_v < 0:",
+        ("tests/test_solvers.py::TestPendantRule::test_sub_masks_match_subset_oracle",),
+    ),
+    Mutant(
+        "prune-at-best-plus-1", "src/kegraph/solvers.py",
+        "if size + mask.bit_count() <= best:",
+        "if size + mask.bit_count() <= best + 1:",
+        ("tests/test_solvers.py::TestStabilityNumber::test_large_bipartite_against_koenig",),
+    ),
+    Mutant(
+        "no-perfect-size-test", "src/kegraph/solvers.py",
+        "    if 2 * witness.size < g.n:\n        return 0\n",
+        "",
+        ("tests/test_solvers.py::TestPerfectMatchingStatus::test_count_matches_oracle_saturated",),
+    ),
+    Mutant(
+        "eq-n-without-2", "src/kegraph/analysis.py",
+        "xi + 2 * eta + sigma == n",
+        "xi + eta + sigma == n",
+        ("tests/test_analysis.py::TestTh2::test_consistent_on_samples",),
+    ),
+    Mutant(
+        "no-repeated-id-guard", "src/kegraph/harness/fuzz.py",
+        "    if repeated:\n",
+        "    if False:\n",
+        ("tests/test_harness.py::TestFuzz::test_repeated_check_id",),
+    ),
+    Mutant(
+        "l3-on-g-not-g0", "src/kegraph/harness/checks.py",
+        "(lambda g, caps: _p3(g_zero(g, caps)[0], caps))",
+        "(lambda g, caps: _p3(g, caps))",
+        ("tests/test_harness.py::TestCheckCatalog::test_every_check_runs_on_every_fixture",),
+    ),
+    Mutant(
+        "ke-synth-check-at-default-caps", "src/kegraph/harness/generators.py",
+        "is_koenig_egervary(g, replace(DEFAULT_CAPS, alpha=max(DEFAULT_CAPS.alpha, n)))",
+        "is_koenig_egervary(g, DEFAULT_CAPS)",
+        ("tests/test_harness.py::TestGenerators::test_ke_synth_always_ke_and_connected",),
+    ),
+    Mutant(
+        "no-n2-guard", "src/kegraph/harness/generators.py",
+        "    if cfg.n2 < 0:\n",
+        "    if False:\n",
+        (
+            "tests/test_harness.py::TestGenerators::test_errors",
+            "tests/test_cli.py::TestFuzzCommand::test_negative_n2_exits_2",
+        ),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def run(mutant: Mutant, scratch: Path) -> str:
+    """'killed', 'survived', 'stale', or 'error' (pytest could not run the tests)."""
+    tree = scratch / mutant.name
+    _copy(tree)
+    target = tree / mutant.path
+    text = target.read_text()
+    if text.count(mutant.snippet) != 1:
+        return "stale"
+    target.write_text(text.replace(mutant.snippet, mutant.replacement))
+    code = _pytest(tree, mutant.tests)
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="kegraph-mutants-") as tmp:
+        scratch = Path(tmp)
+        baseline = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        _copy(scratch / "unmutated")
+        if _pytest(scratch / "unmutated", baseline) != 0:
+            print("the listed tests fail on the unmutated code", file=sys.stderr)
+            return 1
+        outcomes = {m.name: run(m, scratch) for m in MUTANTS}
+    for name, outcome in outcomes.items():
+        print(f"{outcome:8}  {name}")
+    return 0 if set(outcomes.values()) == {"killed"} else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -212,20 +212,20 @@ class TestParameterReport:
 class TestTh2:
     def test_c4_all_false(self):
         ev = th2_evaluate(generate(GeneratorConfig("cycle", 4)))
-        assert ev.flags == (False,) * 5 and ev.consistent
+        assert ev == (False,) * 5
 
     def test_k3_plus_e_all_true(self):
         ev = th2_evaluate(fixtures()["k3_plus_e"].graph)
-        assert ev.flags == (True,) * 5 and ev.consistent
+        assert ev == (True,) * 5
 
     def test_c6_all_false(self):
         ev = th2_evaluate(generate(GeneratorConfig("cycle", 6)))
-        assert ev.flags == (False,) * 5
+        assert ev == (False,) * 5
 
     def test_star_all_true(self):
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         ev = th2_evaluate(star)
-        assert ev.flags == (True,) * 5
+        assert ev == (True,) * 5
 
     def test_requires_ke(self):
         with pytest.raises(PreconditionError):
@@ -233,7 +233,7 @@ class TestTh2:
 
     def test_consistent_on_samples(self):
         for g in ke_samples(60, 10, base_seed=777):
-            assert th2_evaluate(g).consistent
+            assert len(set(th2_evaluate(g))) == 1
 
 
 class TestForestCondition:

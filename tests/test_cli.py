@@ -210,6 +210,14 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
         assert "'C1' is listed more than once" in err
 
+    def test_negative_n2_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--gen", "bipartite", "--n", "3", "--n2", "-4",
+            "--trials", "2", "--checks", "P3",
+        )
+        assert code == 2 and out == ""
+        assert "n2 must be non-negative, got -4" in err
+
     def test_negative_max_n_exits_2(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--max-n", "-1")
         assert code == 2 and out == ""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -70,6 +71,12 @@ class TestGenerators:
             g = generate(GeneratorConfig("ke_synth", 2 + seed % 11, p=0.1 + (seed % 9) / 10, seed=seed))
             assert is_koenig_egervary(g)
             assert is_connected(g)
+        # Above the default alpha cap, generate() raises CapacityError unless it
+        # raises the cap itself; the KE assertion then reads its cached alpha.
+        for n in range(41, 61):
+            g = generate(GeneratorConfig("ke_synth", n, p=0.1 + (n % 9) / 10, seed=n))
+            assert is_koenig_egervary(g, replace(DEFAULT_CAPS, alpha=n))
+            assert is_connected(g)
 
     def test_fixed_shapes(self):
         assert generate(GeneratorConfig("cycle", 5)).m == 5
@@ -85,6 +92,8 @@ class TestGenerators:
             generate(GeneratorConfig("gnp", 5, p=1.5, seed=0))
         with pytest.raises(InputError):
             generate(GeneratorConfig("gnp", 5))  # p required
+        with pytest.raises(InputError, match="n2 must be non-negative"):
+            generate(GeneratorConfig("bipartite", 3, n2=-4, p=0.5))
 
 
 class TestCheckCatalog:
