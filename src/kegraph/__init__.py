@@ -3,13 +3,11 @@
 from .analysis import (
     KeDecomposition,
     ParameterReport,
-    S0Trace,
     forest_condition,
     g_zero,
     is_koenig_egervary,
     ke_decompose,
     parameter_report,
-    s0_procedure,
     th2_evaluate,
 )
 from .criticality import (
@@ -37,7 +35,6 @@ from .graph import (
     is_bipartite,
     is_connected,
     is_maximal_matching,
-    is_stable,
     is_tree,
     neighborhood,
     parse_edge_list,

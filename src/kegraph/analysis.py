@@ -2,14 +2,12 @@
 
 The KE property here is always alpha(g) + mu(g) = n(g) with alpha computed
 exactly; `g_zero` is the reduction that deletes the closed neighborhood of the
-core, and `s0_procedure` is the seeded stable-set construction that certifies
-criticality of a unique perfect matching edge by edge.
+core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .criticality import alpha_critical_edges
 from .errors import InternalInvariantError, PreconditionError
@@ -17,15 +15,12 @@ from .graph import (
     Edge,
     Graph,
     Matching,
-    delete_edge,
     delete_vertices,
     is_bipartite,
     is_maximal_matching,
-    is_stable,
     is_tree,
     neighborhood,
     spans_forest,
-    vertex_set,
 )
 from .solvers import (
     DEFAULT_CAPS,
@@ -53,19 +48,6 @@ class KeDecomposition:
             "h_vertices": list(self.h_vertices),
             "cut_matching": [list(e) for e in self.cut_matching.edges],
         }
-
-
-@dataclass(frozen=True)
-class S0Trace:
-    """Full trace of the seeded stable-set construction.
-
-    steps[0] is the initial (S0, D) state; each later entry is the state after
-    one loop iteration. s0 is the final set after the closing sweep.
-    """
-
-    s0: tuple[int, ...]
-    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    target_edge: Edge
 
 
 @dataclass(frozen=True)
@@ -152,76 +134,6 @@ def g_zero(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tuple[Graph, tuple[int,
     report = enumerate_maximum_stable_sets(g, caps)
     closed = neighborhood(g, report.core, closed=True)
     return delete_vertices(g, closed)
-
-
-def s0_procedure(
-    g0: Graph,
-    pm: Matching,
-    a_side: Iterable[int],
-    b1: int,
-    caps: SolverCaps = DEFAULT_CAPS,
-) -> S0Trace:
-    """Grow a maximum stable set of g0 that contains b1, given its unique
-    perfect matching.
-
-    a_side must be a stable endpoint class of the matching and b1 a vertex of
-    the other class. Starting from S0 = D = {b1}, each round adds the partners
-    of the not-yet-matched-into-S0 a-side neighbors of D, and a closing sweep
-    adds the partners of the b-side vertices still missing. The result is
-    asserted to be a maximum stable set whose union with b1's partner stays
-    stable once the partner edge is deleted; a violation means the matching
-    was not actually unique.
-    """
-    a = vertex_set(g0, a_side)
-    a_set = set(a)
-    for e in pm.edges:
-        if e not in g0.edge_set:
-            raise PreconditionError(f"matching edge {e} is not an edge of the graph")
-    if len(pm.covered) != g0.n:
-        raise PreconditionError("matching is not perfect")
-    count = perfect_matching_status(g0)
-    if count != 1:
-        raise PreconditionError(f"perfect matching count is {count}, need exactly 1")
-    if pm != maximum_matching(g0):
-        raise PreconditionError("supplied matching is not the unique perfect matching")
-    if not is_stable(g0, a):
-        raise PreconditionError("a_side is not stable")
-    for u, v in pm.edges:
-        if (u in a_set) == (v in a_set):
-            raise PreconditionError("a_side is not an endpoint class of the matching")
-    if b1 in a_set or not 0 <= b1 < g0.n:
-        raise PreconditionError("b1 must lie outside a_side")
-
-    b_set = set(range(g0.n)) - a_set
-    a1 = pm.partner(b1)
-
-    s0 = {b1}
-    d = {b1}
-    steps = [(tuple(sorted(s0)), tuple(sorted(d)))]
-    while True:
-        frontier = set()
-        for v in d:
-            frontier.update(g0.adj[v])
-        matched_from_s0 = {pm.partner(v) for v in s0}
-        growth = (frontier & a_set) - matched_from_s0
-        if not growth:
-            break
-        previous = set(s0)
-        s0 |= {pm.partner(v) for v in growth}
-        d = s0 - previous
-        steps.append((tuple(sorted(s0)), tuple(sorted(d))))
-    s0 |= {pm.partner(v) for v in b_set - s0}
-
-    result = tuple(sorted(s0))
-    trace = S0Trace(s0=result, steps=tuple(steps), target_edge=(min(a1, b1), max(a1, b1)))
-    if not is_stable(g0, result):
-        raise InternalInvariantError(f"constructed set is not stable: {trace}")
-    if len(result) != stability_number(g0, caps) or b1 not in s0:
-        raise InternalInvariantError(f"constructed set is not a maximum stable set: {trace}")
-    reduced = delete_edge(g0, trace.target_edge)
-    if not is_stable(reduced, result + (a1,)):
-        raise InternalInvariantError(f"set plus {a1} not stable after deleting the target edge: {trace}")
-    return trace
 
 
 def _counts(g: Graph, caps: SolverCaps) -> dict[str, int]:

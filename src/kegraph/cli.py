@@ -20,6 +20,7 @@ from .graph import Graph, format_edge_list, parse_edge_list
 from .harness import (
     CHECK_STATEMENTS,
     FAIL,
+    Fixture,
     GeneratorConfig,
     check,
     check_ids,
@@ -41,11 +42,15 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             raise InputError(f"cannot read {args.input}: {exc}") from None
         return parse_edge_list(text)
     if getattr(args, "fixture", None):
-        table = fixtures()
-        if args.fixture not in table:
-            raise InputError(f"unknown fixture {args.fixture!r}; available: {', '.join(table)}")
-        return table[args.fixture].graph
+        return _fixture(args.fixture).graph
     raise InputError("an input graph is required: --input PATH or --fixture NAME")
+
+
+def _fixture(name: str) -> Fixture:
+    table = fixtures()
+    if name not in table:
+        raise InputError(f"unknown fixture {name!r}; available: {', '.join(table)}")
+    return table[name]
 
 
 def _caps(args: argparse.Namespace) -> SolverCaps:
@@ -145,15 +150,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    table = fixtures()
     if not args.fixture:
-        for name, fixture in table.items():
+        for name, fixture in fixtures().items():
             note = f" -- {fixture.notes}" if fixture.notes else ""
             print(f"{name}: n={fixture.graph.n} m={fixture.graph.m}{note}")
         return 0
-    if args.fixture not in table:
-        raise InputError(f"unknown fixture {args.fixture!r}; available: {', '.join(table)}")
-    fixture = table[args.fixture]
+    fixture = _fixture(args.fixture)
     comments = [f"fixture {fixture.name}"]
     if fixture.letters:
         comments.append(
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random campaign over a generator")
     p.add_argument("--gen", choices=sorted(_GEN_KIND), required=True)
     p.add_argument("--n", type=int, required=True, help="maximum vertex count per trial")
-    p.add_argument("--n2", type=int, default=0, help="second side bound for bipartite")
+    p.add_argument("--n2", type=int, default=0, help="second side bound; bipartite only")
     p.add_argument("--p", type=float, default=None, help="edge probability; omit to sweep")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -94,23 +94,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
-    @cached_property
-    def _partners(self) -> dict[int, int]:
-        mates = {u: w for u, w in self.edges}
-        mates.update((w, u) for u, w in self.edges)
-        return mates
-
-    def partner(self, v: int) -> int:
-        """Vertex matched to v; InputError if v is uncovered."""
-        try:
-            return self._partners[v]
-        except KeyError:
-            raise InputError(f"vertex {v} is not covered by the matching") from None
-
 
 def vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     """Canonical sorted duplicate-free vertex tuple, bounds-checked against g."""
@@ -174,13 +157,6 @@ def neighborhood(g: Graph, a: Iterable[int], closed: bool = False) -> tuple[int,
     if closed:
         out.update(a)
     return tuple(sorted(out))
-
-
-def is_stable(g: Graph, s: Iterable[int]) -> bool:
-    """True iff s induces no edge."""
-    s = vertex_set(g, s)
-    members = set(s)
-    return all(not (members & set(g.adj[v])) for v in s)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -1,13 +1,12 @@
-"""Named reference graphs with frozen expected parameter values.
+"""Named reference graphs from the paper's figures.
 
 Each fixture carries display labels for its vertices (empty when they have no
-conventional names), the expected report fragment, and free-text notes. The
-expected values are pinned by the brute-force oracles in the test suite.
+conventional names) and free-text notes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..graph import Graph, from_edge_list
 
@@ -17,7 +16,6 @@ class Fixture:
     name: str
     graph: Graph
     letters: tuple[str, ...] = ()
-    expected: dict = field(default_factory=dict)
     notes: str = ""
 
 
@@ -29,21 +27,6 @@ def _k3_plus_e() -> Fixture:
         name="k3_plus_e",
         graph=g,
         letters=("b", "c", "d", "a"),
-        expected={
-            "n": 4,
-            "m": 4,
-            "alpha": 2,
-            "mu": 2,
-            "xi": 1,
-            "sigma": 1,
-            "eta": 1,
-            "is_ke": True,
-            "core": (3,),
-            "anticore": (0,),
-            "alpha_critical_edges": ((1, 2),),
-            "mu_critical_edges": ((0, 3), (1, 2)),
-            "g0_pm_status": 1,
-        },
     )
 
 
@@ -54,19 +37,6 @@ def _fig2_ke() -> Fixture:
     return Fixture(
         name="fig2_ke",
         graph=g,
-        expected={
-            "n": 6,
-            "m": 6,
-            "alpha": 3,
-            "mu": 3,
-            "xi": 0,
-            "sigma": 0,
-            "eta": 3,
-            "is_ke": True,
-            "alpha_critical_edges": ((0, 1), (2, 3), (4, 5)),
-            "mu_critical_edges": ((0, 1), (2, 3), (4, 5)),
-            "g0_pm_status": 1,
-        },
     )
 
 
@@ -78,26 +48,13 @@ def _w1() -> Fixture:
         name="w1",
         graph=g,
         letters=("p1", "p2", "p3", "p4", "q2", "q3"),
-        expected={
-            "n": 6,
-            "m": 6,
-            "alpha": 3,
-            "mu": 2,
-            "xi": 2,
-            "sigma": 1,
-            "eta": 3,
-            "is_ke": False,
-            "core": (0, 4),
-            "anticore": (1,),
-            "alpha_critical_edges": ((2, 3), (2, 5), (3, 5)),
-        },
     )
 
 
 def _fig7_g0() -> Fixture:
     # Two columns a1..a5 / b1..b5 matched rung by rung; the extra edges leave
     # that rung matching as the unique perfect matching while keeping the core
-    # empty. Seed graph for the s0_procedure walkthrough.
+    # empty. Seed graph of the seeded stable-set construction (S0).
     a = {i: i - 1 for i in range(1, 6)}
     b = {i: 4 + i for i in range(1, 6)}
     rungs = [(a[i], b[i]) for i in range(1, 6)]
@@ -115,15 +72,6 @@ def _fig7_g0() -> Fixture:
         name="fig7_g0",
         graph=g,
         letters=("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5"),
-        expected={
-            "n": 10,
-            "m": 12,
-            "alpha": 5,
-            "mu": 5,
-            "xi": 0,
-            "is_ke": True,
-            "g0_pm_status": 1,
-        },
         notes="seeding the stable-set procedure at b1 yields {b1, b2, b3, b4, a5}",
     )
 
@@ -136,18 +84,6 @@ def _fig8_bipartite() -> Fixture:
         name="fig8_bipartite",
         graph=g,
         letters=("b1", "b2", "b3", "b4", "t2", "t3", "t4"),
-        expected={
-            "n": 7,
-            "m": 7,
-            "alpha": 4,
-            "mu": 3,
-            "xi": 2,
-            "sigma": 1,
-            "eta": 0,
-            "is_ke": True,
-            "core": (0, 4),
-            "anticore": (1,),
-        },
         notes=(
             "mu = 3 by the exact solver; the value 4 sometimes quoted for this "
             "graph is inconsistent, since bipartite + n=7 + alpha=4 forces mu=3. "
@@ -164,18 +100,6 @@ def _fig9_ii() -> Fixture:
         name="fig9_ii",
         graph=g,
         letters=("a", "b", "c", "d", "x", "y", "z"),
-        expected={
-            "n": 7,
-            "m": 7,
-            "alpha": 4,
-            "mu": 3,
-            "xi": 2,
-            "sigma": 1,
-            "eta": 2,
-            "is_ke": True,
-            "core": (0, 1),
-            "anticore": (4,),
-        },
         notes="the cut of {a, b, y, z} spans a forest; the cut of {a, b, c, d} does not",
     )
 
@@ -188,18 +112,6 @@ def _fig9_iii() -> Fixture:
         name="fig9_iii",
         graph=g,
         letters=("a", "b", "c", "d", "x", "y"),
-        expected={
-            "n": 6,
-            "m": 7,
-            "alpha": 3,
-            "mu": 3,
-            "xi": 2,
-            "sigma": 2,
-            "eta": 1,
-            "is_ke": True,
-            "core": (0, 1),
-            "anticore": (4, 5),
-        },
         notes="counterexample to the converse of the forest-cut criterion",
     )
 

@@ -124,6 +124,8 @@ def generate(cfg: GeneratorConfig) -> Graph:
         raise InputError(f"{cfg.kind} generator needs n >= {MIN_N[cfg.kind]}")
     if cfg.n2 < 0:
         raise InputError(f"n2 must be non-negative, got {cfg.n2}")
+    if cfg.n2 and cfg.kind != "bipartite":
+        raise InputError(f"n2 is read only by the bipartite generator, got n2={cfg.n2} for {cfg.kind}")
     if cfg.p is not None and not 0.0 <= cfg.p <= 1.0:
         raise InputError(f"p={cfg.p} outside [0, 1]")
     rng = random.Random(cfg.seed)

@@ -91,6 +91,88 @@ MUTANTS = (
             "tests/test_cli.py::TestFuzzCommand::test_negative_n2_exits_2",
         ),
     ),
+    Mutant(
+        "no-kind-n2-guard", "src/kegraph/harness/generators.py",
+        '    if cfg.n2 and cfg.kind != "bipartite":\n',
+        "    if False:\n",
+        (
+            "tests/test_harness.py::TestGenerators::test_errors",
+            "tests/test_cli.py::TestFuzzCommand::test_n2_on_a_kind_that_ignores_it_exits_2",
+        ),
+    ),
+    Mutant(
+        "forced-search-from-u-only", "src/kegraph/solvers.py",
+        " or _blossom_augment(adj, match, v)",
+        "",
+        ("tests/test_criticality.py::TestMuCriticalEdges::test_against_oracle",),
+    ),
+    Mutant(
+        "no-drop-branch", "src/kegraph/solvers.py",
+        "            search(mask & ~(1 << max_v), size)\n",
+        "",
+        ("tests/test_analysis.py::TestRecognition::test_definition",),
+    ),
+    Mutant(
+        "unique-pm-iff-any-forced-edge", "src/kegraph/solvers.py",
+        "return 1 if forced_matching_edges(g) == witness.edges else 2",
+        "return 1 if forced_matching_edges(g) else 2",
+        ("tests/test_solvers.py::TestPerfectMatchingStatus::test_sparse_gnp_eleven_to_fourteen",),
+    ),
+    Mutant(
+        "every-perfect-matching-unique", "src/kegraph/solvers.py",
+        "return 1 if forced_matching_edges(g) == witness.edges else 2",
+        "return 1",
+        ("tests/test_solvers.py::TestPerfectMatchingStatus::test_paths_and_cycles",),
+    ),
+    Mutant(
+        "ck2-gates-swapped", "src/kegraph/harness/checks.py",
+        'it is K2", _KE, _CONNECTED)',
+        'it is K2", _CONNECTED, _KE)',
+        ("tests/test_harness.py::TestCheckCatalog::test_gate_reasons",),
+    ),
+    Mutant(
+        "c4-no-edge-gate", "src/kegraph/harness/checks.py",
+        '    ("needs a tree with at least one edge", lambda g, caps: g.m > 0),\n',
+        "",
+        ("tests/test_harness.py::TestCheckCatalog::test_c4_k1_not_applicable",),
+    ),
+    Mutant(
+        "p3-unguarded-is-p3", "src/kegraph/harness/checks.py",
+        'no gate")(_t1ii)',
+        'no gate")(_p3)',
+        ("tests/test_harness.py::TestCheckCatalog::test_negative_controls_are_their_gated_bodies",),
+    ),
+    Mutant(
+        "eta-from-forced-edges", "src/kegraph/analysis.py",
+        "eta = len(alpha_critical_edges(g, caps))",
+        "eta = len(forced_matching_edges(g))",
+        ("tests/test_analysis.py::TestParameterReport::test_w1_breaks_every_inequality",),
+    ),
+    Mutant(
+        "counts-eta-before-xi", "src/kegraph/analysis.py",
+        "xi=stable.xi, eta=eta,",
+        "eta=eta, xi=stable.xi,",
+        ("tests/test_analysis.py::TestTh2::test_star_all_true",),
+    ),
+    Mutant(
+        "bipartite-colours-one-component", "src/kegraph/graph.py",
+        "    for root in range(g.n):\n        if color[root] != -1:",
+        "    for root in range(min(g.n, 1)):\n        if color[root] != -1:",
+        ("tests/test_graph.py::TestPredicates::test_bipartite_matches_oracle",),
+    ),
+    Mutant(
+        "graph-degree-restored", "src/kegraph/graph.py",
+        "    def m(self) -> int:\n        return len(self.edges)\n",
+        "    def m(self) -> int:\n        return len(self.edges)\n\n"
+        "    def degree(self, v: int) -> int:\n        return len(self.adj[v])\n",
+        ("tests/test_solvers.py::TestSolverCaps::test_every_public_function_and_method_is_read_in_src",),
+    ),
+    Mutant(
+        "fixture-expected-restored", "src/kegraph/harness/fixtures.py",
+        "    letters: tuple[str, ...] = ()\n",
+        "    letters: tuple[str, ...] = ()\n    expected: dict | None = None\n",
+        ("tests/test_solvers.py::TestSolverCaps::test_every_dataclass_field_is_read_in_src",),
+    ),
 )
 
 

@@ -22,6 +22,13 @@ def _masks(g: Graph) -> list[int]:
     return masks
 
 
+def is_stable(g: Graph, s) -> bool:
+    """True iff s names vertices of g and induces no edge."""
+    members = set(s)
+    assert all(0 <= v < g.n for v in members), "vertex out of range"
+    return not any(u in members and v in members for u, v in g.edges)
+
+
 def stable_masks(g: Graph) -> list[int]:
     assert g.n <= _SUBSET_LIMIT
     masks = _masks(g)

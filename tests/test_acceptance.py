@@ -10,12 +10,12 @@ import json
 import time
 
 import oracles
+from s0 import s0_procedure
 from kegraph import (
     forced_matching_edges,
     maximum_matching,
     parameter_report,
     perfect_matching_status,
-    s0_procedure,
 )
 from kegraph.harness import FAIL, GeneratorConfig, check, fixtures, fuzz, generate
 

@@ -218,6 +218,14 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
         assert "n2 must be non-negative, got -4" in err
 
+    def test_n2_on_a_kind_that_ignores_it_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--gen", "tree", "--n", "5", "--n2", "7",
+            "--trials", "1", "--checks", "C1",
+        )
+        assert code == 2 and out == ""
+        assert "n2 is read only by the bipartite generator, got n2=7 for tree" in err
+
     def test_negative_max_n_exits_2(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--max-n", "-1")
         assert code == 2 and out == ""

@@ -31,6 +31,12 @@ from kegraph.harness.generators import KINDS, MIN_N
 from kegraph.solvers import _alpha_of_mask
 
 
+def _src_trees() -> list[ast.Module]:
+    """Parsed modules of the package, without the re-exporting __init__ files."""
+    package = Path(kegraph.__file__).parent
+    return [ast.parse(p.read_text()) for p in sorted(package.rglob("*.py")) if p.name != "__init__.py"]
+
+
 def gnp(seed: int, n: int, p: float) -> Graph:
     return generate(GeneratorConfig("gnp", n, p=p, seed=seed))
 
@@ -345,11 +351,9 @@ class TestSolverCaps:
     def test_every_public_function_and_method_is_read_in_src(self):
         # A public name that only tests read is surface to delete, not to keep.
         allowed = {
-            "s0_procedure": "the paper's construction, walked by acceptance criterion 03",
             "enumerate_maximum_matchings": "a traced layer of the benchmark; it goes with the benchmark's names",
         }
-        package = Path(kegraph.__file__).parent
-        trees = [ast.parse(p.read_text()) for p in sorted(package.rglob("*.py")) if p.name != "__init__.py"]
+        trees = _src_trees()
         nodes = [node for tree in trees for node in ast.walk(tree)]
         names = {node.id for node in nodes if isinstance(node, ast.Name)}
         attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
@@ -362,6 +366,23 @@ class TestSolverCaps:
         }
         unread = (functions - names - attributes) | (methods - attributes)
         assert {x for x in unread if not x.startswith("_")} == set(allowed)
+
+    def test_every_dataclass_field_is_read_in_src(self):
+        # A field that only tests read is test data carried by production values.
+        trees = _src_trees()
+        read = {
+            node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread = {
+            (node.name, item.target.id)
+            for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read
+        }
+        assert unread == set()
 
     def test_raised_caps_keep_alpha_at_least_omega_vertices(self):
         for caps in (DEFAULT_CAPS, DEFAULT_CAPS.raised_to(12), DEFAULT_CAPS.raised_to(33)):
