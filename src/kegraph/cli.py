@@ -141,10 +141,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    ids = _parse_checks(args.checks)
     cfg = GeneratorConfig(
         kind=_GEN_KIND[args.gen], n=args.n, n2=args.n2, p=args.p, seed=args.seed
     )
-    summary = fuzz(cfg, args.trials, _parse_checks(args.checks), _caps(args))
+    summary = fuzz(cfg, args.trials, ids, _caps(args))
     _emit(summary.to_dict())
     return 1 if summary.total_failures else 0
 

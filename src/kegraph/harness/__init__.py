@@ -12,22 +12,3 @@ from .checks import (
 from .fixtures import Fixture, fixtures
 from .fuzz import FuzzSummary, fuzz, shrink_failure
 from .generators import KINDS, MIN_N, GeneratorConfig, generate
-
-__all__ = [
-    "CHECK_STATEMENTS",
-    "FAIL",
-    "NOT_APPLICABLE",
-    "PASS",
-    "CheckVerdict",
-    "check",
-    "check_ids",
-    "Fixture",
-    "fixtures",
-    "FuzzSummary",
-    "fuzz",
-    "shrink_failure",
-    "KINDS",
-    "MIN_N",
-    "GeneratorConfig",
-    "generate",
-]

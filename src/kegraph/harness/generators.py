@@ -15,8 +15,7 @@ from ..errors import InputError, InternalInvariantError
 from ..graph import Edge, Graph, components, from_edge_list
 from ..solvers import DEFAULT_CAPS
 
-KINDS = ("tree", "bipartite", "ke_synth", "gnp", "cycle", "path", "complete")
-
+# Every generator kind, with the least n it accepts.
 MIN_N = {
     "tree": 1,
     "bipartite": 1,
@@ -27,25 +26,36 @@ MIN_N = {
     "complete": 1,
 }
 
+KINDS = tuple(MIN_N)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """One generator input, checked when made; `generate` needs p for the kinds that read it."""
+
     kind: str
     n: int
     n2: int = 0
     p: float | None = None
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "n2": self.n2, "p": self.p, "seed": self.seed}
+    def __post_init__(self) -> None:
+        if self.kind not in MIN_N:
+            raise InputError(f"unknown generator kind {self.kind!r}")
+        if self.n < MIN_N[self.kind]:
+            raise InputError(f"{self.kind} generator needs n >= {MIN_N[self.kind]}")
+        if self.n2 < 0:
+            raise InputError(f"n2 must be non-negative, got {self.n2}")
+        if self.n2 and self.kind != "bipartite":
+            raise InputError(f"n2 is read only by the bipartite generator, got n2={self.n2} for {self.kind}")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise InputError(f"p={self.p} outside [0, 1]")
 
 
 def _prufer_tree(rng: random.Random, n: int) -> list[Edge]:
     # Uniform labeled tree: decode a random Prüfer sequence, smallest leaf first.
     if n <= 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -82,16 +92,10 @@ def _ke_synth(rng: random.Random, n: int, p: float) -> Graph:
     h = rng.randint(1, n // 2)
     s_size = n - h
     h_ids = list(range(s_size, n))
-    edges: list[Edge] = []
-    for i in range(s_size, n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    partners = rng.sample(range(s_size), h)
-    matched = set()
-    for i, b in enumerate(h_ids):
-        edges.append((partners[i], b))
-        matched.add((partners[i], b))
+    edges = [(i, j) for i in h_ids for j in range(i + 1, n) if rng.random() < p]
+    matching = list(zip(rng.sample(range(s_size), h), h_ids))
+    edges += matching
+    matched = set(matching)
     for a in range(s_size):
         for b in h_ids:
             if (a, b) not in matched and rng.random() < p:
@@ -118,16 +122,6 @@ def _ke_synth(rng: random.Random, n: int, p: float) -> Graph:
 
 def generate(cfg: GeneratorConfig) -> Graph:
     """Build the graph described by cfg; deterministic per seed."""
-    if cfg.kind not in KINDS:
-        raise InputError(f"unknown generator kind {cfg.kind!r}")
-    if cfg.n < MIN_N[cfg.kind]:
-        raise InputError(f"{cfg.kind} generator needs n >= {MIN_N[cfg.kind]}")
-    if cfg.n2 < 0:
-        raise InputError(f"n2 must be non-negative, got {cfg.n2}")
-    if cfg.n2 and cfg.kind != "bipartite":
-        raise InputError(f"n2 is read only by the bipartite generator, got n2={cfg.n2} for {cfg.kind}")
-    if cfg.p is not None and not 0.0 <= cfg.p <= 1.0:
-        raise InputError(f"p={cfg.p} outside [0, 1]")
     rng = random.Random(cfg.seed)
     if cfg.kind == "tree":
         return from_edge_list(cfg.n, _prufer_tree(rng, cfg.n))
@@ -142,6 +136,6 @@ def generate(cfg: GeneratorConfig) -> Graph:
     if cfg.kind == "gnp":
         return from_edge_list(cfg.n, _gnp_edges(rng, cfg.n, cfg.p))
     if cfg.kind == "bipartite":
-        n2 = cfg.n2 if cfg.n2 > 0 else cfg.n
+        n2 = cfg.n2 or cfg.n
         return from_edge_list(cfg.n + n2, _bipartite_edges(rng, cfg.n, n2, cfg.p))
     return _ke_synth(rng, cfg.n, cfg.p)

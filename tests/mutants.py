@@ -84,8 +84,8 @@ MUTANTS = (
     ),
     Mutant(
         "no-n2-guard", "src/kegraph/harness/generators.py",
-        "    if cfg.n2 < 0:\n",
-        "    if False:\n",
+        "        if self.n2 < 0:\n",
+        "        if False:\n",
         (
             "tests/test_harness.py::TestGenerators::test_errors",
             "tests/test_cli.py::TestFuzzCommand::test_negative_n2_exits_2",
@@ -93,12 +93,27 @@ MUTANTS = (
     ),
     Mutant(
         "no-kind-n2-guard", "src/kegraph/harness/generators.py",
-        '    if cfg.n2 and cfg.kind != "bipartite":\n',
-        "    if False:\n",
+        '        if self.n2 and self.kind != "bipartite":\n',
+        "        if False:\n",
         (
             "tests/test_harness.py::TestGenerators::test_errors",
             "tests/test_cli.py::TestFuzzCommand::test_n2_on_a_kind_that_ignores_it_exits_2",
         ),
+    ),
+    Mutant(
+        "config-p-range-unchecked", "src/kegraph/harness/generators.py",
+        "        if self.p is not None and not 0.0 <= self.p <= 1.0:\n",
+        "        if False:\n",
+        (
+            "tests/test_harness.py::TestGenerators::test_errors",
+            "tests/test_harness.py::TestGenerators::test_config_is_checked_when_made",
+        ),
+    ),
+    Mutant(
+        "fixture-edge-dropped", "src/kegraph/harness/fixtures.py",
+        "[(0, 5), (0, 4), (1, 5)",
+        "[(0, 4), (1, 5)",
+        ("tests/test_golden.py::test_cli_outputs",),
     ),
     Mutant(
         "forced-search-from-u-only", "src/kegraph/solvers.py",

@@ -226,6 +226,14 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
         assert "n2 is read only by the bipartite generator, got n2=7 for tree" in err
 
+    def test_check_list_is_read_before_the_config(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--gen", "gnp", "--n", "5", "--p", "1.5",
+            "--trials", "1", "--checks", "NOPE",
+        )
+        assert code == 2 and out == ""
+        assert "unknown check id 'NOPE'" in err
+
     def test_negative_max_n_exits_2(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--max-n", "-1")
         assert code == 2 and out == ""

@@ -97,6 +97,17 @@ class TestGenerators:
         with pytest.raises(InputError, match="n2 is read only by the bipartite generator"):
             generate(GeneratorConfig("tree", 5, n2=7))
 
+    def test_config_is_checked_when_made(self):
+        # No generate() call: an impossible config cannot even be built.
+        for kind, n, extra in (
+            ("hypercube", 4, {}),
+            ("cycle", 2, {}),
+            ("tree", 5, {"n2": 7}),
+            ("gnp", 5, {"p": 1.5}),
+        ):
+            with pytest.raises(InputError):
+                GeneratorConfig(kind, n, **extra)
+
 
 class TestCheckCatalog:
     def test_ids_are_documented(self):
