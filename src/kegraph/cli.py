@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all checks pass, 1 at least one check failed or
 stdout was closed early, 2 input or precondition error, 3 capacity (size cap)
-exceeded.
+exceeded, 4 internal error (an unexpected exception, never a check verdict).
 """
 
 from __future__ import annotations
@@ -241,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # InternalInvariantError included
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,4 +11,4 @@ from .checks import (
 )
 from .fixtures import Fixture, fixtures
 from .fuzz import FuzzSummary, fuzz, shrink_failure
-from .generators import KINDS, MIN_N, GeneratorConfig, generate
+from .generators import KINDS, MIN_N, P_KINDS, GeneratorConfig, generate

@@ -165,23 +165,24 @@ def _ck2(g: Graph, caps: SolverCaps) -> dict | None:
 
 
 def _odd_path_exists(g: Graph, src: int, dst: int, banned: int) -> bool:
-    # Simple path from src to dst avoiding `banned` with an odd edge count.
-    visited = {banned, src}
-
-    def dfs(u: int, parity: int) -> bool:
-        for w in g.adj[u]:
+    # Simple path from src to dst avoiding `banned` with an odd edge count. The
+    # stack is the path so far; a last edge to dst makes it odd iff len(stack) is odd.
+    on_path = {banned, src}
+    stack = [(src, iter(g.adj[src]))]
+    while stack:
+        u, neighbours = stack[-1]
+        for w in neighbours:
             if w == dst:
-                if parity == 0:
+                if len(stack) % 2:
                     return True
-                continue
-            if w not in visited:
-                visited.add(w)
-                if dfs(w, 1 - parity):
-                    return True
-                visited.remove(w)
-        return False
-
-    return dfs(src, 0)
+            elif w not in on_path:
+                on_path.add(w)
+                stack.append((w, iter(g.adj[w])))
+                break
+        else:
+            stack.pop()
+            on_path.remove(u)
+    return False
 
 
 @_register("BHP", "two incident alpha-critical edges lie on a common odd cycle")

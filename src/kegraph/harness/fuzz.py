@@ -16,7 +16,7 @@ from ..errors import InputError
 from ..graph import Graph, delete_edge, delete_vertices, format_edge_list
 from ..solvers import DEFAULT_CAPS, SolverCaps
 from .checks import FAIL, NOT_APPLICABLE, PASS, CheckVerdict, check
-from .generators import MIN_N, GeneratorConfig, generate
+from .generators import MIN_N, P_KINDS, GeneratorConfig, generate
 
 P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -74,7 +74,7 @@ def _trial_config(cfg: GeneratorConfig, trial: int) -> GeneratorConfig:
     n = rng.randint(min(low, cfg.n), cfg.n)
     n2 = rng.randint(1, cfg.n2) if cfg.n2 else 0
     p = cfg.p
-    if p is None and cfg.kind in ("gnp", "bipartite", "ke_synth"):
+    if p is None and cfg.kind in P_KINDS:
         p = rng.choice(P_GRID)
     return replace(cfg, n=n, n2=n2, p=p, seed=rng.getrandbits(63))
 

@@ -27,11 +27,13 @@ MIN_N = {
 }
 
 KINDS = tuple(MIN_N)
+# The kinds whose generator reads the edge probability p.
+P_KINDS = ("bipartite", "ke_synth", "gnp")
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """One generator input, checked when made; `generate` needs p for the kinds that read it."""
+    """One generator input, checked when made; `generate` needs p for the P_KINDS."""
 
     kind: str
     n: int
@@ -48,6 +50,9 @@ class GeneratorConfig:
             raise InputError(f"n2 must be non-negative, got {self.n2}")
         if self.n2 and self.kind != "bipartite":
             raise InputError(f"n2 is read only by the bipartite generator, got n2={self.n2} for {self.kind}")
+        if self.p is not None and self.kind not in P_KINDS:
+            kinds = ", ".join(P_KINDS)
+            raise InputError(f"p is read only by the {kinds} generators, got p={self.p} for {self.kind}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise InputError(f"p={self.p} outside [0, 1]")
 
@@ -122,6 +127,8 @@ def _ke_synth(rng: random.Random, n: int, p: float) -> Graph:
 
 def generate(cfg: GeneratorConfig) -> Graph:
     """Build the graph described by cfg; deterministic per seed."""
+    if cfg.kind in P_KINDS and cfg.p is None:
+        raise InputError(f"{cfg.kind} generator needs an explicit p")
     rng = random.Random(cfg.seed)
     if cfg.kind == "tree":
         return from_edge_list(cfg.n, _prufer_tree(rng, cfg.n))
@@ -131,8 +138,6 @@ def generate(cfg: GeneratorConfig) -> Graph:
         return from_edge_list(cfg.n, [(i, i + 1) for i in range(cfg.n - 1)])
     if cfg.kind == "complete":
         return from_edge_list(cfg.n, [(u, v) for u in range(cfg.n) for v in range(u + 1, cfg.n)])
-    if cfg.p is None:
-        raise InputError(f"{cfg.kind} generator needs an explicit p")
     if cfg.kind == "gnp":
         return from_edge_list(cfg.n, _gnp_edges(rng, cfg.n, cfg.p))
     if cfg.kind == "bipartite":

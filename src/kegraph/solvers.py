@@ -5,7 +5,8 @@ function that does search work is wrapped in `memo`, which gives it one
 bounded cache keyed by (graph, caps). Vertex sets live in int bitsets
 throughout. `SolverCaps` carries every size limit of the exact searches;
 exceeding one raises CapacityError instead of letting a search run away
-silently.
+silently. The searches keep their state on explicit stacks, never on the
+call stack, so the interpreter's recursion limit is not a second limit.
 """
 
 from __future__ import annotations
@@ -93,12 +94,12 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
     without branching; trees and forests therefore never branch.
     """
     best = 0
-
-    def search(mask: int, size: int) -> None:
-        nonlocal best
+    stack = [(mask, 0)]
+    while stack:
+        mask, size = stack.pop()
         while mask:
             if size + mask.bit_count() <= best:
-                return
+                break
             max_d = -1
             max_v = -1
             low_v = -1
@@ -121,13 +122,10 @@ def _alpha_of_mask(masks: tuple[int, ...], mask: int) -> int:
                 size += 1
                 mask &= ~(masks[low_v] | (1 << low_v))
                 continue
-            search(mask & ~(1 << max_v), size)
-            size += 1
-            mask &= ~(masks[max_v] | (1 << max_v))
+            stack.append((mask & ~(masks[max_v] | (1 << max_v)), size + 1))
+            mask &= ~(1 << max_v)
         if size > best:
             best = size
-
-    search(mask, 0)
     return best
 
 
@@ -173,26 +171,21 @@ def enumerate_maximum_stable_sets(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> 
     found: list[tuple[int, ...]] = []
     inter_mask = (1 << g.n) - 1
     union_mask = 0
-
-    def extend(prefix: list[int], prefix_mask: int, allowed: int, need: int) -> None:
-        nonlocal inter_mask, union_mask
+    # Pushing the sibling below the child keeps the sets in lexicographic order.
+    stack = [((), 0, (1 << g.n) - 1, alpha)]
+    while stack:
+        prefix, prefix_mask, allowed, need = stack.pop()
         if need == 0:
             if len(found) >= caps.omega_sets:
                 raise CapacityError(f"more than {caps.omega_sets} maximum stable sets")
-            found.append(tuple(prefix))
+            found.append(prefix)
             inter_mask &= prefix_mask
             union_mask |= prefix_mask
-            return
-        while allowed:
-            if allowed.bit_count() < need:
-                return
+        elif allowed.bit_count() >= need:
             v = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
-            prefix.append(v)
-            extend(prefix, prefix_mask | (1 << v), allowed & ~masks[v], need - 1)
-            prefix.pop()
-
-    extend([], 0, (1 << g.n) - 1, alpha)
+            stack.append((prefix, prefix_mask, allowed, need))
+            stack.append((prefix + (v,), prefix_mask | (1 << v), allowed & ~masks[v], need - 1))
     core = tuple(v for v in range(g.n) if (inter_mask >> v) & 1)
     anticore = tuple(v for v in range(g.n) if not (union_mask >> v) & 1)
     return StableSetReport(alpha=alpha, omega=tuple(found), core=core, anticore=anticore)
@@ -304,33 +297,29 @@ def enumerate_maximum_matchings(g: Graph, caps: SolverCaps = DEFAULT_CAPS) -> tu
     mu = maximum_matching(g).size
     masks = g.adjacency_masks
     found: list[tuple[Edge, ...]] = []
-    chosen: list[Edge] = []
-
-    def search(mask: int, size: int) -> None:
-        if size + mask.bit_count() // 2 < mu:
-            return
-        u = -1
+    # `chosen` stays sorted: each edge takes the least open vertex with an open neighbour.
+    stack: list[tuple[int, tuple[Edge, ...]]] = [((1 << g.n) - 1, ())]
+    while stack:
+        mask, chosen = stack.pop()
+        if len(chosen) + mask.bit_count() // 2 < mu:
+            continue
         while mask:
             u = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             if masks[u] & mask:
                 break
         else:
-            if size == mu:
+            if len(chosen) == mu:
                 if len(found) >= caps.matchings:
                     raise CapacityError(f"more than {caps.matchings} maximum matchings")
-                found.append(tuple(sorted(chosen)))
-            return
-        search(mask, size)
+                found.append(chosen)
+            continue
+        stack.append((mask, chosen))
         nb = masks[u] & mask
         while nb:
             v = (nb & -nb).bit_length() - 1
             nb &= nb - 1
-            chosen.append((u, v))
-            search(mask & ~(1 << v), size + 1)
-            chosen.pop()
-
-    search((1 << g.n) - 1, 0)
+            stack.append((mask & ~(1 << v), chosen + ((u, v),)))
     return tuple(Matching(m) for m in sorted(found))
 
 

@@ -101,6 +101,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "no-kind-p-guard", "src/kegraph/harness/generators.py",
+        "        if self.p is not None and self.kind not in P_KINDS:\n",
+        "        if False:\n",
+        (
+            "tests/test_harness.py::TestGenerators::test_config_is_checked_when_made",
+            "tests/test_cli.py::TestFuzzCommand::test_p_on_a_kind_that_ignores_it_exits_2",
+        ),
+    ),
+    Mutant(
         "config-p-range-unchecked", "src/kegraph/harness/generators.py",
         "        if self.p is not None and not 0.0 <= self.p <= 1.0:\n",
         "        if False:\n",
@@ -123,9 +132,33 @@ MUTANTS = (
     ),
     Mutant(
         "no-drop-branch", "src/kegraph/solvers.py",
-        "            search(mask & ~(1 << max_v), size)\n",
-        "",
+        "            mask &= ~(1 << max_v)\n",
+        "            break\n",
         ("tests/test_analysis.py::TestRecognition::test_definition",),
+    ),
+    Mutant(
+        "omega-sibling-first", "src/kegraph/solvers.py",
+        "            stack.append((prefix, prefix_mask, allowed, need))\n"
+        "            stack.append((prefix + (v,), prefix_mask | (1 << v), allowed & ~masks[v], need - 1))\n",
+        "            stack.append((prefix + (v,), prefix_mask | (1 << v), allowed & ~masks[v], need - 1))\n"
+        "            stack.append((prefix, prefix_mask, allowed, need))\n",
+        ("tests/test_solvers.py::TestOmegaEnumeration::test_against_subset_oracle",),
+    ),
+    Mutant(
+        "odd-path-keeps-marks", "src/kegraph/harness/checks.py",
+        "            on_path.remove(u)\n",
+        "",
+        ("tests/test_harness.py::TestOddPath::test_against_brute_force",),
+    ),
+    Mutant(
+        "crash-exits-1", "src/kegraph/cli.py",
+        "        return 4\n",
+        "        return 1\n",
+        (
+            "tests/test_cli.py::TestInternalError::test_invariant_error_in_decompose_exits_4",
+            "tests/test_cli.py::TestInternalError::test_memory_error_exits_4",
+            "tests/test_cli.py::TestInternalError::test_crashing_check_makes_fuzz_exit_4",
+        ),
     ),
     Mutant(
         "unique-pm-iff-any-forced-edge", "src/kegraph/solvers.py",

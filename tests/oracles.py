@@ -7,6 +7,8 @@ search code with the package solvers.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from kegraph.errors import CapacityError
 from kegraph.graph import Edge, Graph
 
@@ -222,4 +224,17 @@ def has_odd_cycle_bf(g: Graph) -> bool:
                 frontier.append(w)
         if seen == m:
             return True
+    return False
+
+
+def odd_path_bf(g: Graph, src: int, dst: int, banned: int) -> bool:
+    # Try every sequence of distinct inner vertices; k inner vertices make a
+    # path of k + 1 edges, which is odd when k is even.
+    inner = [v for v in range(g.n) if v not in (src, dst, banned)]
+    masks = _masks(g)
+    for k in range(0, len(inner) + 1, 2):
+        for mid in permutations(inner, k):
+            path = (src, *mid, dst)
+            if all((masks[a] >> b) & 1 for a, b in zip(path, path[1:])):
+                return True
     return False

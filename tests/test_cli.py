@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import kegraph
+import kegraph.cli
+import kegraph.harness.checks
 from kegraph.cli import main
+from kegraph.errors import InternalInvariantError
 from kegraph.graph import format_edge_list, from_edge_list
 from kegraph.harness import GeneratorConfig, generate
 
@@ -84,6 +87,15 @@ class TestAnalyze:
         path.write_text(format_edge_list(generate(GeneratorConfig("path", 22))))
         code, _, _ = run(capsys, "analyze", "--input", str(path), "--max-n", "22")
         assert code == 0
+
+    def test_alpha_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # Omega of 1500 isolated vertices is one set of 1500: the enumeration
+        # goes 1500 levels deep, beyond the interpreter's recursion limit.
+        path = tmp_path / "edgeless.txt"
+        path.write_text("1500 0\n")
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--max-n", "1500")
+        assert code == 0
+        assert json.loads(out)["alpha"] == 1500
 
 
 class TestCritical:
@@ -226,6 +238,14 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
         assert "n2 is read only by the bipartite generator, got n2=7 for tree" in err
 
+    def test_p_on_a_kind_that_ignores_it_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--gen", "tree", "--n", "5", "--p", "0.5",
+            "--trials", "1", "--checks", "C1",
+        )
+        assert code == 2 and out == ""
+        assert "p is read only by the bipartite, ke_synth, gnp generators, got p=0.5 for tree" in err
+
     def test_check_list_is_read_before_the_config(self, capsys):
         code, out, err = run(
             capsys, "fuzz", "--gen", "gnp", "--n", "5", "--p", "1.5",
@@ -238,6 +258,37 @@ class TestFuzzCommand:
         code, out, err = run(capsys, *self.ARGS, "--max-n", "-1")
         assert code == 2 and out == ""
         assert "--max-n must be non-negative, got -1" in err
+
+
+class TestInternalError:
+    # A crash exits 4 with one line on stderr, so it never reads as exit 1,
+    # "a check failed".
+
+    def test_invariant_error_in_decompose_exits_4(self, capsys, monkeypatch):
+        def broken(g, caps):
+            raise InternalInvariantError("stable side is not stable")
+
+        monkeypatch.setattr(kegraph.cli, "ke_decompose", broken)
+        code, out, err = run(capsys, "decompose", "--fixture", "k3_plus_e")
+        assert (code, out) == (4, "")
+        assert err == "internal error: InternalInvariantError: stable side is not stable\n"
+
+    def test_memory_error_exits_4(self, capsys, monkeypatch):
+        def exhausted(g, caps):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(kegraph.cli, "parameter_report", exhausted)
+        code, out, err = run(capsys, "analyze", "--fixture", "w1")
+        assert (code, out, err) == (4, "", "internal error: MemoryError: cannot allocate\n")
+
+    def test_crashing_check_makes_fuzz_exit_4(self, capsys, monkeypatch):
+        def crash(g, caps):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setitem(kegraph.harness.checks._REGISTRY, "C1", (crash, ()))
+        code, out, err = run(capsys, *TestFuzzCommand.ARGS)
+        assert (code, out) == (4, "")
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
 
 
 class TestFixturesCommand:

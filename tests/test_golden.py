@@ -19,7 +19,7 @@ from pathlib import Path
 
 from kegraph import DEFAULT_CAPS, Graph, SolverCaps
 from kegraph.cli import main
-from kegraph.harness import KINDS, MIN_N, GeneratorConfig, check, check_ids, fixtures, generate
+from kegraph.harness import KINDS, MIN_N, P_KINDS, GeneratorConfig, check, check_ids, fixtures, generate
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -71,7 +71,7 @@ def _corpus() -> dict[str, Graph]:
     graphs = {f"fixture {name}": fx.graph for name, fx in fixtures().items()}
     for kind in KINDS:
         for n in range(MIN_N[kind], 15):
-            graphs[f"{kind} {n}"] = generate(GeneratorConfig(kind, n, p=0.3, seed=n))
+            graphs[f"{kind} {n}"] = generate(GeneratorConfig(kind, n, p=0.3 if kind in P_KINDS else None, seed=n))
     return graphs
 
 

@@ -23,7 +23,7 @@ from kegraph import (
     spans_forest,
 )
 from kegraph.harness import GeneratorConfig, generate
-from kegraph.harness.generators import KINDS, MIN_N
+from kegraph.harness.generators import KINDS, MIN_N, P_KINDS
 
 
 def k3_plus_e() -> Graph:
@@ -170,7 +170,7 @@ class TestPredicates:
                 if n < MIN_N[kind]:
                     continue
                 n1 = (n + 1) // 2 if kind == "bipartite" else n
-                g = generate(GeneratorConfig(kind, n1, n2=n - n1, p=0.2, seed=5100 + n))
+                g = generate(GeneratorConfig(kind, n1, n2=n - n1, p=0.2 if kind in P_KINDS else None, seed=5100 + n))
                 assert is_bipartite(g) == (not oracles.has_odd_cycle_bf(g))
 
     def test_spans_forest(self):

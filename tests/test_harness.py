@@ -9,6 +9,7 @@ import pytest
 
 import kegraph.analysis
 import kegraph.harness.checks
+import oracles
 from kegraph import (
     DEFAULT_CAPS,
     InputError,
@@ -29,6 +30,7 @@ from kegraph.harness import (
     KINDS,
     MIN_N,
     NOT_APPLICABLE,
+    P_KINDS,
     PASS,
     GeneratorConfig,
     check,
@@ -39,7 +41,7 @@ from kegraph.harness import (
     shrink_failure,
 )
 from kegraph.graph import Graph
-from kegraph.harness.checks import CHECK_STATEMENTS
+from kegraph.harness.checks import CHECK_STATEMENTS, _odd_path_exists
 
 
 class TestGenerators:
@@ -104,6 +106,9 @@ class TestGenerators:
             ("cycle", 2, {}),
             ("tree", 5, {"n2": 7}),
             ("gnp", 5, {"p": 1.5}),
+            ("tree", 5, {"p": 0.5}),
+            ("cycle", 5, {"p": 0.0}),
+            ("complete", 3, {"p": 1.0}),
         ):
             with pytest.raises(InputError):
                 GeneratorConfig(kind, n, **extra)
@@ -240,7 +245,7 @@ class TestCheckCatalog:
         for kind in KINDS:
             for seed in range(8):
                 n = max(MIN_N[kind], 3 + seed)
-                p = (0.2, 0.4, 0.6)[seed % 3]
+                p = (0.2, 0.4, 0.6)[seed % 3] if kind in P_KINDS else None
                 n2 = 1 + seed % 4 if kind == "bipartite" else 0
                 corpus.append(generate(GeneratorConfig(kind, n, n2=n2, p=p, seed=seed)))
         decided = Counter()
@@ -279,6 +284,23 @@ class TestCheckCatalog:
         ]
         with pytest.raises(InternalInvariantError):
             parameter_report(k2)
+
+
+class TestOddPath:
+    def test_against_brute_force(self):
+        for seed in range(30):
+            g = generate(GeneratorConfig("gnp", 5 + seed % 3, p=(0.3, 0.45, 0.6)[seed % 3], seed=seed))
+            for src in range(g.n):
+                for dst in range(g.n):
+                    for banned in range(g.n):
+                        if len({src, dst, banned}) == 3:
+                            expected = oracles.odd_path_bf(g, src, dst, banned)
+                            assert _odd_path_exists(g, src, dst, banned) == expected
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # On C3001 the only path from 1 to 3000 avoiding 0 has 2999 edges.
+        c3001 = generate(GeneratorConfig("cycle", 3001))
+        assert _odd_path_exists(c3001, 1, 3000, 0)
 
 
 class TestShrinking:

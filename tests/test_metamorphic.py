@@ -22,6 +22,7 @@ from kegraph.harness import (
     KINDS,
     MIN_N,
     NOT_APPLICABLE,
+    P_KINDS,
     GeneratorConfig,
     check,
     check_ids,
@@ -45,7 +46,7 @@ def _corpus():
     for kind in KINDS:
         for n in range(3, 15):
             for seed in SEEDS:
-                p = (0.15, 0.3, 0.5, 0.7)[seed]
+                p = (0.15, 0.3, 0.5, 0.7)[seed] if kind in P_KINDS else None
                 yield f"{kind} {n} seed {seed}", generate(GeneratorConfig(kind, n, p=p, seed=seed))
 
 
@@ -86,7 +87,8 @@ def test_disjoint_union_adds_counts_and_unions_sets():
             kind = rng.choice(KINDS)
             # A bipartite n counts one side, so both sides stay at most 3.
             n = rng.randint(MIN_N[kind], 3 if kind == "bipartite" else 6)
-            cfg = GeneratorConfig(kind, n, p=rng.choice((0.2, 0.4, 0.6)), seed=rng.getrandbits(32))
+            p = rng.choice((0.2, 0.4, 0.6))
+            cfg = GeneratorConfig(kind, n, p=p if kind in P_KINDS else None, seed=rng.getrandbits(32))
             parts.append(generate(cfg))
         reports = [parameter_report(g) for g in parts]
         for g, r in zip(parts, reports):

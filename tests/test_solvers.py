@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from kegraph import (
     stability_number,
 )
 from kegraph.harness import GeneratorConfig, check, fixtures, generate
-from kegraph.harness.generators import KINDS, MIN_N
+from kegraph.harness.generators import KINDS, MIN_N, P_KINDS
 from kegraph.solvers import _alpha_of_mask
 
 
@@ -304,7 +305,7 @@ class TestForcedEdges:
                 if n < MIN_N[kind]:
                     continue
                 n1 = n // 2 if kind == "bipartite" else n
-                cfg = GeneratorConfig(kind, n1, n2=n - n1, p=0.3, seed=4900 + n)
+                cfg = GeneratorConfig(kind, n1, n2=n - n1, p=0.3 if kind in P_KINDS else None, seed=4900 + n)
                 g = generate(cfg)
                 shared = set(g.edges)
                 for m in oracles.maximum_matchings_bf(g):
@@ -408,3 +409,28 @@ class TestSolverCaps:
         with pytest.raises(CapacityError) as exc:
             enumerate_maximum_matchings(k8, SolverCaps(matchings=10))
         assert str(exc.value) == "more than 10 maximum matchings"
+
+
+class TestExplicitStacks:
+    # The searches keep their state on explicit stacks, so SolverCaps is the
+    # only limit: the interpreter's recursion limit caps no input size.
+
+    def test_no_function_in_src_calls_itself(self):
+        recursive = set()
+        nonlocals = 0
+        for tree in _src_trees():
+            for node in ast.walk(tree):
+                nonlocals += isinstance(node, ast.Nonlocal)
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                    for call in ast.walk(node)
+                ):
+                    recursive.add(node.name)
+        assert (recursive, nonlocals) == (set(), 0)
+
+    def test_alpha_of_a_clique_deeper_than_the_recursion_limit(self):
+        # The first dive drops one vertex of K_n per level down to K_2.
+        n = sys.getrecursionlimit() + 100
+        full = (1 << n) - 1
+        assert _alpha_of_mask(tuple(full ^ (1 << v) for v in range(n)), full) == 1
